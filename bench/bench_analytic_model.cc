@@ -45,9 +45,7 @@ int main() {
               "t_gpu (s)", "AC_ghe");
   for (int key : kKeySizes) {
     for (int64_t batch : {256LL, 4096LL, 65536LL}) {
-      const uint64_t ops_per_encrypt =
-          (flb::ghe::EstimateModPowMontMuls(key) + 3) *
-          flb::ghe::MontMulLimbOps(static_cast<size_t>(key) * 2 / 32);
+      const uint64_t ops_per_encrypt = flb::ghe::PaillierEncryptLimbOps(key);
       const double t_cpu = cpu.SecondsFor(batch, ops_per_encrypt);
       const double t_gpu = GpuEncryptSeconds(key, batch);
       std::printf("%5d %10lld %14.4f %14.6f %9.0fx\n", key,

@@ -33,9 +33,7 @@ int main() {
               "RTX3090 (s)", "edge GPU (s)", "AC_3090", "AC_edge");
   for (int key : {1024, 2048, 4096}) {
     for (int64_t batch : {1024LL, 16384LL}) {
-      const uint64_t ops =
-          (ghe::EstimateModPowMontMuls(key) + 3) *
-          ghe::MontMulLimbOps(static_cast<size_t>(key) * 2 / 32);
+      const uint64_t ops = ghe::PaillierEncryptLimbOps(key);
       const double t_cpu = cpu.SecondsFor(batch, ops);
       const double t_rtx = EncryptSeconds(rtx, key, batch);
       const double t_edge = EncryptSeconds(edge, key, batch);

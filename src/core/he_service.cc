@@ -5,46 +5,29 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/ghe/parallel_montgomery.h"
 
 namespace flb::core {
 
-namespace {
-
-using ghe::EstimateModPowMontMuls;
-using ghe::MontMulLimbOps;
-
-// CPU limb-work formulas — identical to the GPU engine's, so the two
-// execution paths price the same arithmetic consistently (Eq. 10's
-// beta_cpu vs beta_gpu act on the same op counts).
-uint64_t EncryptLimbOps(int key_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return (EstimateModPowMontMuls(key_bits) + 3) * MontMulLimbOps(s2);
-}
-uint64_t DecryptLimbOps(int key_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return 2 * EstimateModPowMontMuls(key_bits / 2) * MontMulLimbOps(s2 / 2);
-}
-uint64_t AddLimbOps(int key_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return 3 * MontMulLimbOps(s2);
-}
-uint64_t AddPlainLimbOps(int key_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return 4 * MontMulLimbOps(s2);
-}
-uint64_t ScalarMulLimbOps(int key_bits, int exp_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return EstimateModPowMontMuls(exp_bits) * MontMulLimbOps(s2);
+ResolvedEngine ResolveEngine(const HeServiceOptions& options) {
+  ResolvedEngine out;
+  out.traits = TraitsFor(options.engine);
+  out.traits.use_bc =
+      options.use_bc < 0 ? out.traits.use_bc : options.use_bc != 0;
+  out.ghe.words_per_thread = out.traits.words_per_thread;
+  out.ghe.streams =
+      options.gpu_streams > 0 ? options.gpu_streams : out.traits.gpu_streams;
+  if (options.ghe_chunks_per_stream > 0) {
+    out.ghe.chunks_per_stream = options.ghe_chunks_per_stream;
+  }
+  return out;
 }
 
-}  // namespace
-
-HeService::HeService(const HeServiceOptions& options, SimClock* clock,
+HeService::HeService(const HeServiceOptions& options,
+                     const EngineTraits& traits, SimClock* clock,
                      std::shared_ptr<gpusim::Device> device,
                      codec::Quantizer quantizer)
     : options_(options),
-      traits_(TraitsFor(options.engine)),
+      traits_(traits),
       clock_(clock),
       device_(std::move(device)),
       quantizer_(std::move(quantizer)),
@@ -57,8 +40,8 @@ Result<std::unique_ptr<HeService>> HeService::Create(
     return Status::InvalidArgument(
         "HeService: key_bits must be a positive multiple of 64");
   }
-  const EngineTraits traits = TraitsFor(options.engine);
-  if (traits.gpu_he && device == nullptr) {
+  const ResolvedEngine engine = ResolveEngine(options);
+  if (engine.traits.gpu_he && device == nullptr) {
     return Status::InvalidArgument(
         "HeService: engine '" + EngineName(options.engine) +
         "' runs HE on the GPU but no device was supplied");
@@ -71,37 +54,27 @@ Result<std::unique_ptr<HeService>> HeService::Create(
   FLB_ASSIGN_OR_RETURN(codec::Quantizer quantizer,
                        codec::Quantizer::Create(qcfg));
 
-  auto service = std::unique_ptr<HeService>(
-      new HeService(options, clock, std::move(device), std::move(quantizer)));
+  // The resolved traits carry the effective BC flag, so every consumer
+  // (pack_slots, CompressForTransmission, the encrypt paths) sees one value.
+  auto service = std::unique_ptr<HeService>(new HeService(
+      options, engine.traits, clock, std::move(device), std::move(quantizer)));
 
   // Host execution pool: an explicit size makes the service own a private
   // pool; otherwise everyone shares the process-global one.
-  const int host_threads =
-      options.host_threads > 0 ? options.host_threads : traits.host_threads;
-  if (host_threads > 0) {
-    service->owned_pool_ = std::make_unique<common::ThreadPool>(host_threads);
+  if (options.host_threads > 0) {
+    service->owned_pool_ =
+        std::make_unique<common::ThreadPool>(options.host_threads);
     service->host_pool_ = service->owned_pool_.get();
   } else {
     service->host_pool_ = &common::ThreadPool::Global();
   }
 
-  if (traits.gpu_he) {
-    ghe::GheConfig gcfg;
-    gcfg.words_per_thread = traits.words_per_thread;
-    gcfg.streams =
-        options.gpu_streams > 0 ? options.gpu_streams : traits.gpu_streams;
-    gcfg.chunks_per_stream =
-        options.ghe_chunks_per_stream > 0 ? options.ghe_chunks_per_stream : 1;
+  if (engine.traits.gpu_he) {
+    ghe::GheConfig gcfg = engine.ghe;
     gcfg.host_pool = service->host_pool_;
     service->ghe_ = std::make_unique<ghe::GheEngine>(service->device_, gcfg);
   }
-  // Compression: the engine trait unless the option overrides it. The
-  // effective flag lives in traits_ so every consumer (pack_slots,
-  // CompressForTransmission, the encrypt paths) sees one value.
-  const bool use_bc =
-      options.use_bc < 0 ? traits.use_bc : options.use_bc != 0;
-  service->traits_.use_bc = use_bc;
-  if (use_bc) {
+  if (engine.traits.use_bc) {
     FLB_ASSIGN_OR_RETURN(
         auto compressor,
         codec::BatchCompressor::Create(service->quantizer_, options.key_bits));
@@ -235,7 +208,8 @@ Result<EncVec> HeService::EncryptValues(const std::vector<double>& values) {
   const int64_t n_cipher = static_cast<int64_t>(plains.size());
   if (options_.modeled) {
     out.data = std::move(plains);
-    ChargeBatch("he.encrypt", n_cipher, EncryptLimbOps(options_.key_bits),
+    ChargeBatch("he.encrypt", n_cipher,
+                ghe::PaillierEncryptLimbOps(options_.key_bits),
                 n_cipher * CiphertextWords() * 2,  // staged plaintexts
                 n_cipher * CiphertextWords() * 4);
   } else if (traits_.gpu_he) {
@@ -244,7 +218,8 @@ Result<EncVec> HeService::EncryptValues(const std::vector<double>& values) {
   } else {
     FLB_ASSIGN_OR_RETURN(out.data,
                          paillier_->EncryptBatch(plains, rng_, host_pool_));
-    ChargeCpu("he.encrypt", plains.size(), EncryptLimbOps(options_.key_bits));
+    ChargeCpu("he.encrypt", plains.size(),
+              ghe::PaillierEncryptLimbOps(options_.key_bits));
   }
   op_cells_.encrypts.fetch_add(static_cast<uint64_t>(n_cipher), std::memory_order_relaxed);
   op_cells_.values_encrypted.fetch_add(values.size(), std::memory_order_relaxed);
@@ -270,7 +245,7 @@ Result<EncVec> HeService::AddCipher(const EncVec& a, const EncVec& b) {
     for (size_t i = 0; i < a.data.size(); ++i) {
       out.data[i] = BigInt::Add(a.data[i], b.data[i]) % n_;
     }
-    ChargeBatch("he.add", n_cipher, AddLimbOps(options_.key_bits),
+    ChargeBatch("he.add", n_cipher, ghe::PaillierAddLimbOps(options_.key_bits),
                 2 * n_cipher * CiphertextWords() * 4,
                 n_cipher * CiphertextWords() * 4);
   } else if (traits_.gpu_he) {
@@ -279,7 +254,8 @@ Result<EncVec> HeService::AddCipher(const EncVec& a, const EncVec& b) {
   } else {
     FLB_ASSIGN_OR_RETURN(out.data,
                          paillier_->AddBatch(a.data, b.data, host_pool_));
-    ChargeCpu("he.add", a.data.size(), AddLimbOps(options_.key_bits));
+    ChargeCpu("he.add", a.data.size(),
+              ghe::PaillierAddLimbOps(options_.key_bits));
   }
   op_cells_.hom_adds.fetch_add(a.data.size(), std::memory_order_relaxed);
   return out;
@@ -312,7 +288,8 @@ Result<EncVec> HeService::AddPlainValues(const EncVec& c,
     for (size_t i = 0; i < plains.size(); ++i) {
       out.data[i] = BigInt::Add(c.data[i], plains[i]) % n_;
     }
-    ChargeBatch("he.add_plain", n_cipher, AddPlainLimbOps(options_.key_bits),
+    ChargeBatch("he.add_plain", n_cipher,
+                ghe::PaillierAddPlainLimbOps(options_.key_bits),
                 n_cipher * CiphertextWords() * 6,
                 n_cipher * CiphertextWords() * 4);
   } else if (traits_.gpu_he) {
@@ -322,7 +299,7 @@ Result<EncVec> HeService::AddPlainValues(const EncVec& c,
     FLB_ASSIGN_OR_RETURN(out.data,
                          paillier_->AddPlainBatch(c.data, plains, host_pool_));
     ChargeCpu("he.add_plain", plains.size(),
-              AddPlainLimbOps(options_.key_bits));
+              ghe::PaillierAddPlainLimbOps(options_.key_bits));
   }
   op_cells_.hom_adds.fetch_add(plains.size(), std::memory_order_relaxed);
   return out;
@@ -335,14 +312,16 @@ Result<std::vector<double>> HeService::DecryptValues(const EncVec& c) {
   const int64_t n_cipher = static_cast<int64_t>(c.data.size());
   if (options_.modeled) {
     plains = c.data;
-    ChargeBatch("he.decrypt", n_cipher, DecryptLimbOps(options_.key_bits),
+    ChargeBatch("he.decrypt", n_cipher,
+                ghe::PaillierDecryptLimbOps(options_.key_bits),
                 n_cipher * CiphertextWords() * 4,
                 n_cipher * CiphertextWords() * 2);
   } else if (traits_.gpu_he) {
     FLB_ASSIGN_OR_RETURN(plains, ghe_->PaillierDecrypt(*paillier_, c.data));
   } else {
     FLB_ASSIGN_OR_RETURN(plains, paillier_->DecryptBatch(c.data, host_pool_));
-    ChargeCpu("he.decrypt", c.data.size(), DecryptLimbOps(options_.key_bits));
+    ChargeCpu("he.decrypt", c.data.size(),
+              ghe::PaillierDecryptLimbOps(options_.key_bits));
   }
   op_cells_.decrypts.fetch_add(c.data.size(), std::memory_order_relaxed);
   op_cells_.values_decrypted.fetch_add(c.count, std::memory_order_relaxed);
@@ -386,7 +365,8 @@ Result<EncVec> HeService::EncryptFixedPoint(const std::vector<double>& values) {
   const int64_t n_cipher = static_cast<int64_t>(plains.size());
   if (options_.modeled) {
     out.data = std::move(plains);
-    ChargeBatch("he.fp_encrypt", n_cipher, EncryptLimbOps(options_.key_bits),
+    ChargeBatch("he.fp_encrypt", n_cipher,
+                ghe::PaillierEncryptLimbOps(options_.key_bits),
                 n_cipher * CiphertextWords() * 2,
                 n_cipher * CiphertextWords() * 4);
   } else if (traits_.gpu_he) {
@@ -396,7 +376,7 @@ Result<EncVec> HeService::EncryptFixedPoint(const std::vector<double>& values) {
     FLB_ASSIGN_OR_RETURN(out.data,
                          paillier_->EncryptBatch(plains, rng_, host_pool_));
     ChargeCpu("he.fp_encrypt", plains.size(),
-              EncryptLimbOps(options_.key_bits));
+              ghe::PaillierEncryptLimbOps(options_.key_bits));
   }
   op_cells_.encrypts.fetch_add(static_cast<uint64_t>(n_cipher), std::memory_order_relaxed);
   op_cells_.values_encrypted.fetch_add(values.size(), std::memory_order_relaxed);
@@ -417,7 +397,8 @@ Result<EncVec> HeService::AddFixedPoint(const EncVec& a, const EncVec& b) {
     for (size_t i = 0; i < a.data.size(); ++i) {
       out.data[i] = BigInt::Add(a.data[i], b.data[i]) % n_;
     }
-    ChargeBatch("he.fp_add", n_cipher, AddLimbOps(options_.key_bits),
+    ChargeBatch("he.fp_add", n_cipher,
+                ghe::PaillierAddLimbOps(options_.key_bits),
                 2 * n_cipher * CiphertextWords() * 4,
                 n_cipher * CiphertextWords() * 4);
   } else if (traits_.gpu_he) {
@@ -426,7 +407,8 @@ Result<EncVec> HeService::AddFixedPoint(const EncVec& a, const EncVec& b) {
   } else {
     FLB_ASSIGN_OR_RETURN(out.data,
                          paillier_->AddBatch(a.data, b.data, host_pool_));
-    ChargeCpu("he.fp_add", a.data.size(), AddLimbOps(options_.key_bits));
+    ChargeCpu("he.fp_add", a.data.size(),
+              ghe::PaillierAddLimbOps(options_.key_bits));
   }
   op_cells_.hom_adds.fetch_add(a.data.size(), std::memory_order_relaxed);
   return out;
@@ -449,12 +431,13 @@ Result<EncVec> HeService::ScalarMulFixedPoint(
   EncVec out = c;
   out.scale_muls = c.scale_muls + 1;
   const int64_t n_cipher = static_cast<int64_t>(c.data.size());
+  const uint64_t limb_ops = ghe::PaillierScalarMulLimbOps(
+      options_.key_bits, ScalarExpBits(options_.frac_bits));
   if (options_.modeled) {
     for (size_t i = 0; i < c.data.size(); ++i) {
       out.data[i] = BigInt::Mul(c.data[i], ks[i]) % n_;
     }
-    ChargeBatch("he.fp_scalar_mul", n_cipher,
-                ScalarMulLimbOps(options_.key_bits, EffectiveScalarBits()),
+    ChargeBatch("he.fp_scalar_mul", n_cipher, limb_ops,
                 2 * n_cipher * CiphertextWords() * 4,
                 n_cipher * CiphertextWords() * 4);
   } else if (traits_.gpu_he) {
@@ -463,8 +446,7 @@ Result<EncVec> HeService::ScalarMulFixedPoint(
   } else {
     FLB_ASSIGN_OR_RETURN(out.data,
                          paillier_->ScalarMulBatch(c.data, ks, host_pool_));
-    ChargeCpu("he.fp_scalar_mul", c.data.size(),
-              ScalarMulLimbOps(options_.key_bits, EffectiveScalarBits()));
+    ChargeCpu("he.fp_scalar_mul", c.data.size(), limb_ops);
   }
   op_cells_.scalar_muls.fetch_add(c.data.size(), std::memory_order_relaxed);
   return out;
@@ -531,7 +513,8 @@ Result<EncVec> HeService::WeightedSums(
   // host context for simplicity; the charge prices it as the kernel the real
   // system would launch.)
   ChargeBatch("he.fp_fold", static_cast<int64_t>(adds),
-              AddLimbOps(options_.key_bits), 2 * adds * CiphertextWords() * 4,
+              ghe::PaillierAddLimbOps(options_.key_bits),
+              2 * adds * CiphertextWords() * 4,
               adds * CiphertextWords() * 4);
   op_cells_.hom_adds.fetch_add(adds, std::memory_order_relaxed);
   return out;
@@ -582,7 +565,8 @@ Result<EncVec> HeService::SelectiveSums(
     out.data.push_back(std::move(acc));
   }
   ChargeBatch("he.selective_sum", static_cast<int64_t>(adds),
-              AddLimbOps(options_.key_bits), 2 * adds * CiphertextWords() * 4,
+              ghe::PaillierAddLimbOps(options_.key_bits),
+              2 * adds * CiphertextWords() * 4,
               adds * CiphertextWords() * 4);
   op_cells_.hom_adds.fetch_add(adds, std::memory_order_relaxed);
   return out;
@@ -596,7 +580,8 @@ Result<std::vector<double>> HeService::DecryptFixedPoint(const EncVec& c) {
   const int64_t n_cipher = static_cast<int64_t>(c.data.size());
   if (options_.modeled) {
     plains = c.data;
-    ChargeBatch("he.fp_decrypt", n_cipher, DecryptLimbOps(options_.key_bits),
+    ChargeBatch("he.fp_decrypt", n_cipher,
+                ghe::PaillierDecryptLimbOps(options_.key_bits),
                 n_cipher * CiphertextWords() * 4,
                 n_cipher * CiphertextWords() * 2);
   } else if (traits_.gpu_he) {
@@ -604,7 +589,7 @@ Result<std::vector<double>> HeService::DecryptFixedPoint(const EncVec& c) {
   } else {
     FLB_ASSIGN_OR_RETURN(plains, paillier_->DecryptBatch(c.data, host_pool_));
     ChargeCpu("he.fp_decrypt", c.data.size(),
-              DecryptLimbOps(options_.key_bits));
+              ghe::PaillierDecryptLimbOps(options_.key_bits));
   }
   op_cells_.decrypts.fetch_add(c.data.size(), std::memory_order_relaxed);
   op_cells_.values_decrypted.fetch_add(c.count, std::memory_order_relaxed);
@@ -720,7 +705,8 @@ void HeService::CollectMetrics(std::vector<obs::MetricValue>& out) const {
   counter("flb.he.values_encrypted", op_cells_.values_encrypted.load(std::memory_order_relaxed));
   counter("flb.he.values_decrypted", op_cells_.values_decrypted.load(std::memory_order_relaxed));
   // Fixed-width kernel limb width the n^2 context dispatched to (0 = the
-  // generic path — modeled mode, odd widths, or FLB_FIXED_KERNELS=0).
+  // generic path — modeled mode, odd widths, or use_fixed_width_kernels
+  // off).
   obs::MetricValue m;
   m.name = "flb.he.fixed_kernel_width";
   m.labels = labels;

@@ -102,15 +102,27 @@ struct HeServiceOptions {
   // the workload's compute/network balance.
   int use_bc = -1;
   // Host worker threads for element-parallel HE bodies. > 0 makes the
-  // service own a private pool of that size; 0 defers to the engine trait,
-  // and when that is also 0, to the process-global pool (FLB_HOST_THREADS).
-  // Bit-identical results at any value — only wall-clock time changes.
+  // service own a private pool of that size; 0 uses the process-global pool
+  // (FLB_HOST_THREADS). Bit-identical results at any value — only
+  // wall-clock time changes.
   int host_threads = 0;
   // Dispatch the fixed-width Montgomery kernels for this key's contexts
   // (src/mpint/fixed_kernels.h). Results are bit-identical either way;
   // false keeps the generic radix-2^32 limb path (the differential oracle).
   bool use_fixed_width_kernels = true;
 };
+
+// The engine `options` selects, with the knob sentinels resolved against
+// TraitsFor(options.engine): gpu_streams and ghe_chunks_per_stream 0 = the
+// engine default, use_bc -1 = the engine trait. The one home of those
+// rules: HeService::Create builds its engine from it, and the auto-tuner
+// prices candidates through it, so a priced candidate is the engine the
+// run gets.
+struct ResolvedEngine {
+  EngineTraits traits;  // TraitsFor(engine) with use_bc resolved
+  ghe::GheConfig ghe;   // thread split + resolved streams/chunks (GPU HE)
+};
+ResolvedEngine ResolveEngine(const HeServiceOptions& options);
 
 struct HeOpCounts {
   uint64_t encrypts = 0;
@@ -231,9 +243,16 @@ class HeService : public obs::MetricsSource {
   // The host pool HE batch bodies run on (private or process-global).
   common::ThreadPool& host_pool() const { return *host_pool_; }
 
+  // Exponent width of a fixed-point scalar multiplication. Weights are
+  // O(1) after clipping, so |round(w * 2^f)| has ~frac_bits+10 bits;
+  // negative scalars cost the same via the ciphertext-inverse path (see
+  // crypto::PaillierContext::ScalarMul).
+  static int ScalarExpBits(int frac_bits) { return frac_bits + 10; }
+
  private:
-  HeService(const HeServiceOptions& options, SimClock* clock,
-            std::shared_ptr<gpusim::Device> device, codec::Quantizer quantizer);
+  HeService(const HeServiceOptions& options, const EngineTraits& traits,
+            SimClock* clock, std::shared_ptr<gpusim::Device> device,
+            codec::Quantizer quantizer);
 
   // Charges CPU or GPU time for a batch of ops described by total limb work.
   void ChargeBatch(const char* kind, int64_t count, uint64_t limb_ops_per_elt,
@@ -246,11 +265,6 @@ class HeService : public obs::MetricsSource {
     return run_deadline_ == nullptr ? Status::OK() : run_deadline_->Check(op);
   }
   int fp_compress_slot_bits() const;
-  // Exponent width of a fixed-point scalar multiplication. Weights are
-  // O(1) after clipping, so |round(w * 2^f)| has ~frac_bits+10 bits;
-  // negative scalars cost the same via the ciphertext-inverse path (see
-  // crypto::PaillierContext::ScalarMul).
-  int EffectiveScalarBits() const { return options_.frac_bits + 10; }
 
   HeServiceOptions options_;
   EngineTraits traits_;

@@ -33,6 +33,26 @@ std::string ModelName(FlModelKind kind) {
   return "unknown";
 }
 
+HeServiceOptions HeServiceOptionsFor(const PlatformConfig& config) {
+  HeServiceOptions he_opts;
+  he_opts.engine = config.engine;
+  he_opts.key_bits = config.key_bits;
+  he_opts.r_bits = config.r_bits;
+  he_opts.participants =
+      config.model == FlModelKind::kHeteroNn ? 2 : config.num_parties;
+  he_opts.alpha = config.alpha;
+  he_opts.frac_bits = config.frac_bits;
+  he_opts.fp_compress_slot_bits = config.fp_compress_slot_bits;
+  he_opts.modeled = config.modeled;
+  he_opts.seed = config.seed;
+  he_opts.gpu_streams = config.gpu_streams;
+  he_opts.ghe_chunks_per_stream = config.ghe_chunks_per_stream;
+  he_opts.use_bc = config.use_bc;
+  he_opts.host_threads = config.host_threads;
+  he_opts.use_fixed_width_kernels = config.use_fixed_width_kernels;
+  return he_opts;
+}
+
 Result<RunReport> Platform::Run(const PlatformConfig& config) {
   // Live inspection plane: env-gated HTTP server (or forced by obs_port)
   // plus the wall profiler. Both are pure observers — same-seed runs are
@@ -119,8 +139,8 @@ Result<RunReport> Platform::RunImpl(const PlatformConfig& config,
     network.set_reliable_channel(reliable.get());
   }
 
-  const int parties =
-      config.model == FlModelKind::kHeteroNn ? 2 : config.num_parties;
+  const HeServiceOptions he_opts = HeServiceOptionsFor(config);
+  const int parties = he_opts.participants;
 
   const obs::Track run_track = recorder.RegisterTrack("platform", "run");
   const double setup_start = clock->Now();
@@ -135,21 +155,6 @@ Result<RunReport> Platform::RunImpl(const PlatformConfig& config,
     obs::RunStatus::Global().BeginRun(run_info);
   }
 
-  HeServiceOptions he_opts;
-  he_opts.engine = config.engine;
-  he_opts.key_bits = config.key_bits;
-  he_opts.r_bits = config.r_bits;
-  he_opts.participants = parties;
-  he_opts.alpha = config.alpha;
-  he_opts.frac_bits = config.frac_bits;
-  he_opts.fp_compress_slot_bits = config.fp_compress_slot_bits;
-  he_opts.modeled = config.modeled;
-  he_opts.seed = config.seed;
-  he_opts.gpu_streams = config.gpu_streams;
-  he_opts.ghe_chunks_per_stream = config.ghe_chunks_per_stream;
-  he_opts.use_bc = config.use_bc;
-  he_opts.host_threads = config.host_threads;
-  he_opts.use_fixed_width_kernels = config.use_fixed_width_kernels;
   FLB_ASSIGN_OR_RETURN(auto he,
                        HeService::Create(he_opts, clock.get(), device));
   if (!run_deadline.infinite()) he->set_run_deadline(&run_deadline);

@@ -140,6 +140,11 @@ struct RunReport {
   }
 };
 
+// The HeServiceOptions a run with `config` builds its HE service from
+// (Hetero NN always runs two parties). Platform runs and the auto-tuner's
+// pricing both go through it; ResolveEngine then turns it into the engine.
+HeServiceOptions HeServiceOptionsFor(const PlatformConfig& config);
+
 class Platform {
  public:
   // Builds the whole stack, trains, and reports. Deterministic for a fixed

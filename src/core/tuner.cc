@@ -46,26 +46,25 @@ std::string RunLabels(const core::PlatformConfig& config) {
          ",model=" + core::ModelName(config.model);
 }
 
-// Effective batch-compression state for a config before any knob override
-// (explicit config override first, then the engine trait).
-bool EffectiveBc(const core::PlatformConfig& config) {
-  if (config.use_bc >= 0) return config.use_bc != 0;
-  return core::TraitsFor(config.engine).use_bc;
+// The engine a run with `config` gets: the run's own option mapping and
+// knob resolution, so the tuner prices exactly what it would measure.
+core::ResolvedEngine EngineFor(const core::PlatformConfig& config) {
+  return core::ResolveEngine(core::HeServiceOptionsFor(config));
 }
 
 // Slots per packed plaintext for this workload's quantizer, the factor BC
 // changes ciphertext counts and wire bytes by (Eq. 11). 1 when packing
 // cannot apply.
 int SlotsFor(const core::PlatformConfig& config) {
+  const core::HeServiceOptions options = core::HeServiceOptionsFor(config);
   codec::QuantizerConfig qc;
-  qc.alpha = config.alpha;
-  qc.r_bits = config.r_bits;
-  qc.participants =
-      config.model == core::FlModelKind::kHeteroNn ? 2 : config.num_parties;
+  qc.alpha = options.alpha;
+  qc.r_bits = options.r_bits;
+  qc.participants = options.participants;
   auto quantizer = codec::Quantizer::Create(qc);
   if (!quantizer.ok()) return 1;
   auto compressor =
-      codec::BatchCompressor::Create(quantizer.value(), config.key_bits);
+      codec::BatchCompressor::Create(quantizer.value(), options.key_bits);
   if (!compressor.ok()) return 1;
   return compressor.value().slots_per_plaintext();
 }
@@ -169,7 +168,7 @@ CountModel BuildCountModel(const core::PlatformConfig& config,
   m.bytes = Solve(static_cast<double>(rep0.comm_bytes),
                   static_cast<double>(rep1.comm_bytes), nb0, nb1);
   m.other_seconds = rep0.other_seconds;
-  m.baseline_bc = EffectiveBc(config);
+  m.baseline_bc = EngineFor(config).traits.use_bc;
   m.slots = SlotsFor(config);
   return m;
 }
@@ -180,9 +179,9 @@ CountModel BuildCountModel(const core::PlatformConfig& config,
 // candidates — measurement corrects any model error before a knob wins.
 double PredictSeconds(const core::PlatformConfig& config, const CountModel& m,
                       const KnobConfig& knobs, int64_t rows) {
-  const core::EngineTraits traits = core::TraitsFor(config.engine);
-  const int batch = knobs.batch_size > 0 ? knobs.batch_size
-                                         : std::max(1, config.train.batch_size);
+  const core::PlatformConfig candidate = AutoTuner::Apply(config, knobs);
+  const core::ResolvedEngine resolved = EngineFor(candidate);
+  const int batch = std::max(1, candidate.train.batch_size);
   const double nb = std::ceil(static_cast<double>(rows) / batch);
 
   double encrypts = m.encrypts.At(nb);
@@ -194,8 +193,7 @@ double PredictSeconds(const core::PlatformConfig& config, const CountModel& m,
 
   // Toggling BC relative to the probes rescales ciphertext-count-shaped
   // quantities by the packing factor (Eq. 11).
-  const bool candidate_bc =
-      knobs.use_bc < 0 ? m.baseline_bc : knobs.use_bc != 0;
+  const bool candidate_bc = resolved.traits.use_bc;
   if (candidate_bc != m.baseline_bc && m.slots > 1) {
     const double factor = candidate_bc ? 1.0 / m.slots
                                        : static_cast<double>(m.slots);
@@ -207,20 +205,15 @@ double PredictSeconds(const core::PlatformConfig& config, const CountModel& m,
 
   double he_seconds = 0.0;
   const int key_bits = config.key_bits;
-  const int scalar_bits = config.frac_bits + 10;  // HeService's effective width
-  if (traits.gpu_he) {
+  const int scalar_bits = core::HeService::ScalarExpBits(config.frac_bits);
+  if (resolved.traits.gpu_he) {
     // Price the candidate's launch geometry on a throwaway device: one
     // launch per op class at the per-batch size, scaled by batch count, so
     // the stream/chunk overlap the candidate would get is what is priced.
     auto device = std::make_shared<gpusim::Device>(
-        gpusim::DeviceSpec::Rtx3090(), nullptr, traits.branch_combining);
-    ghe::GheConfig gcfg;
-    gcfg.words_per_thread = traits.words_per_thread;
-    gcfg.streams =
-        knobs.gpu_streams > 0 ? knobs.gpu_streams : traits.gpu_streams;
-    gcfg.chunks_per_stream =
-        knobs.ghe_chunks_per_stream > 0 ? knobs.ghe_chunks_per_stream : 1;
-    ghe::GheEngine engine(device, gcfg);
+        gpusim::DeviceSpec::Rtx3090(), nullptr,
+        resolved.traits.branch_combining);
+    ghe::GheEngine engine(device, resolved.ghe);
     const auto launch_seconds = [&](double total,
                                     auto&& model_call) -> double {
       if (total < 0.5) return 0.0;
@@ -243,19 +236,16 @@ double PredictSeconds(const core::PlatformConfig& config, const CountModel& m,
       return engine.ModelPaillierScalarMul(key_bits, n, scalar_bits);
     });
   } else {
-    const size_t s2 = static_cast<size_t>(2 * key_bits) / 32;  // n^2 limbs
     const core::CpuCostModel cost;
-    he_seconds += cost.SecondsFor(
-        static_cast<uint64_t>(encrypts),
-        (ghe::EstimateModPowMontMuls(key_bits) + 3) * ghe::MontMulLimbOps(s2));
+    he_seconds += cost.SecondsFor(static_cast<uint64_t>(encrypts),
+                                  ghe::PaillierEncryptLimbOps(key_bits));
     he_seconds += cost.SecondsFor(static_cast<uint64_t>(decrypts),
-                                  2 * ghe::EstimateModPowMontMuls(key_bits / 2) *
-                                      ghe::MontMulLimbOps(s2 / 2));
+                                  ghe::PaillierDecryptLimbOps(key_bits));
     he_seconds += cost.SecondsFor(static_cast<uint64_t>(hom_adds),
-                                  3 * ghe::MontMulLimbOps(s2));
-    he_seconds += cost.SecondsFor(static_cast<uint64_t>(scalar_muls),
-                                  ghe::EstimateModPowMontMuls(scalar_bits) *
-                                      ghe::MontMulLimbOps(s2));
+                                  ghe::PaillierAddLimbOps(key_bits));
+    he_seconds += cost.SecondsFor(
+        static_cast<uint64_t>(scalar_muls),
+        ghe::PaillierScalarMulLimbOps(key_bits, scalar_bits));
   }
 
   // Link model: per-message latency + bandwidth + per-serialized-object
@@ -330,32 +320,27 @@ void PublishOutcome(const core::PlatformConfig& config,
 // ---- KnobConfig -------------------------------------------------------------
 
 std::string KnobConfig::ToString() const {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "streams=%d chunks=%d threads=%d batch=%d bc=%d fixed=%d",
-                gpu_streams, ghe_chunks_per_stream, host_threads, batch_size,
-                use_bc, use_fixed_width_kernels ? 1 : 0);
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "streams=%d chunks=%d batch=%d bc=%d",
+                gpu_streams, ghe_chunks_per_stream, batch_size, use_bc);
   return buf;
 }
 
 std::optional<KnobConfig> KnobConfig::Parse(const std::string& line) {
   KnobConfig knobs;
-  int fixed = 0;
-  if (std::sscanf(line.c_str(),
-                  "streams=%d chunks=%d threads=%d batch=%d bc=%d fixed=%d",
+  int consumed = -1;
+  if (std::sscanf(line.c_str(), "streams=%d chunks=%d batch=%d bc=%d%n",
                   &knobs.gpu_streams, &knobs.ghe_chunks_per_stream,
-                  &knobs.host_threads, &knobs.batch_size, &knobs.use_bc,
-                  &fixed) != 6) {
+                  &knobs.batch_size, &knobs.use_bc, &consumed) != 4 ||
+      static_cast<size_t>(consumed) != line.size()) {
     return std::nullopt;
   }
   if (knobs.gpu_streams < 0 || knobs.gpu_streams > 256 ||
       knobs.ghe_chunks_per_stream < 0 || knobs.ghe_chunks_per_stream > 256 ||
-      knobs.host_threads < 0 || knobs.host_threads > 512 ||
       knobs.batch_size < 0 || knobs.batch_size > (1 << 26) ||
-      knobs.use_bc < -1 || knobs.use_bc > 1 || fixed < 0 || fixed > 1) {
+      knobs.use_bc < -1 || knobs.use_bc > 1) {
     return std::nullopt;
   }
-  knobs.use_fixed_width_kernels = fixed != 0;
   return knobs;
 }
 
@@ -363,8 +348,8 @@ std::optional<KnobConfig> KnobConfig::Parse(const std::string& line) {
 
 KnobSpace KnobSpace::For(const core::PlatformConfig& config) {
   KnobSpace space;
-  const core::EngineTraits traits = core::TraitsFor(config.engine);
-  if (traits.gpu_he) {
+  const core::ResolvedEngine engine = EngineFor(config);
+  if (engine.traits.gpu_he) {
     space.gpu_streams = {1, 2, 4, 8};
     space.chunks_per_stream = {1, 2, 4};
   } else {
@@ -372,13 +357,6 @@ KnobSpace KnobSpace::For(const core::PlatformConfig& config) {
     space.gpu_streams = {0};
     space.chunks_per_stream = {0};
   }
-  // Host threads are deliberately pinned: results and simulated time are
-  // bit-identical at any pool width (the repo's core invariant), so a
-  // simulated-time search cannot distinguish values — and must not try, or
-  // the chosen config would depend on measurement noise.
-  space.host_threads = {0};
-  // Fixed-width kernel dispatch is bit-identical and never slower in
-  // simulated time; keep the config's setting rather than searching it.
 
   const int64_t rows = std::max<int64_t>(
       16, static_cast<int64_t>(config.dataset.rows));
@@ -396,7 +374,7 @@ KnobSpace KnobSpace::For(const core::PlatformConfig& config) {
   space.batch_sizes = batches;
 
   // -1 keeps the workload's effective BC state; the other value flips it.
-  space.use_bc = {-1, EffectiveBc(config) ? 0 : 1};
+  space.use_bc = {-1, engine.traits.use_bc ? 0 : 1};
   return space;
 }
 
@@ -404,17 +382,14 @@ std::vector<KnobConfig> KnobSpace::Enumerate() const {
   std::vector<KnobConfig> out;
   for (const int bc : use_bc) {
     for (const int batch : batch_sizes) {
-      for (const int threads : host_threads) {
-        for (const int streams : gpu_streams) {
-          for (const int chunks : chunks_per_stream) {
-            KnobConfig knobs;
-            knobs.gpu_streams = streams;
-            knobs.ghe_chunks_per_stream = chunks;
-            knobs.host_threads = threads;
-            knobs.batch_size = batch;
-            knobs.use_bc = bc;
-            out.push_back(knobs);
-          }
+      for (const int streams : gpu_streams) {
+        for (const int chunks : chunks_per_stream) {
+          KnobConfig knobs;
+          knobs.gpu_streams = streams;
+          knobs.ghe_chunks_per_stream = chunks;
+          knobs.batch_size = batch;
+          knobs.use_bc = bc;
+          out.push_back(knobs);
         }
       }
     }
@@ -471,7 +446,7 @@ void TuningCache::LoadFileLocked(const std::string& path) {
     std::string s(line);
     while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
     if (!header_ok) {
-      if (s != "flbtune v1") break;  // wrong version: ignore the file
+      if (s != "flbtune v2") break;  // wrong version: ignore the file
       header_ok = true;
       continue;
     }
@@ -492,7 +467,7 @@ Status TuningCache::WriteFileLocked(const std::string& path) {
   if (f == nullptr) {
     return Status::IoError("TuningCache: cannot write " + path);
   }
-  std::fprintf(f, "flbtune v1\n");
+  std::fprintf(f, "flbtune v2\n");
   for (const auto& [fingerprint, knobs] : entries_) {
     std::fprintf(f, "%s %s\n", fingerprint.c_str(),
                  knobs.ToString().c_str());
@@ -543,10 +518,8 @@ core::PlatformConfig AutoTuner::Apply(const core::PlatformConfig& config,
   if (knobs.ghe_chunks_per_stream > 0) {
     out.ghe_chunks_per_stream = knobs.ghe_chunks_per_stream;
   }
-  if (knobs.host_threads > 0) out.host_threads = knobs.host_threads;
   if (knobs.batch_size > 0) out.train.batch_size = knobs.batch_size;
   if (knobs.use_bc >= 0) out.use_bc = knobs.use_bc;
-  out.use_fixed_width_kernels = knobs.use_fixed_width_kernels;
   return out;
 }
 
@@ -572,11 +545,7 @@ Result<TuneOutcome> AutoTuner::Tune(const core::PlatformConfig& config) {
   // Candidate set: the workload's knob space plus the config's own knobs
   // (so "leave everything alone" always competes).
   std::vector<KnobConfig> candidates = KnobSpace::For(config).Enumerate();
-  KnobConfig defaults;
-  defaults.use_fixed_width_kernels = config.use_fixed_width_kernels;
-  for (auto& knobs : candidates) {
-    knobs.use_fixed_width_kernels = config.use_fixed_width_kernels;
-  }
+  const KnobConfig defaults;
   int default_index = -1;
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (candidates[i] == defaults) {

@@ -1,13 +1,15 @@
 // AutoTuner — closes the loop over FLBooster's performance knobs (ROADMAP
 // open item 5).
 //
-// The platform exposes several knobs that each earlier PR validated in
-// isolation: GHE stream count and chunk granularity (stream overlap), host
-// thread count, HE mini-batch size, batch compression, fixed-width kernel
-// dispatch. Their best joint setting depends on (key size, batch shape,
-// device profile, link) — HAFLO and BouquetFL both observe that no static
-// default is near-optimal across workloads. The tuner resolves them per
-// workload:
+// The platform exposes four knobs that move simulated time: GHE stream
+// count and chunk granularity (stream overlap), HE mini-batch size, and
+// batch compression. Their best joint setting depends on (key size, batch
+// shape, device profile, link) — HAFLO and BouquetFL both observe that no
+// static default is near-optimal across workloads. Host thread count and
+// fixed-width kernel dispatch are not searched: results and simulated time
+// are bit-identical at any setting of either, so a simulated-time search
+// cannot tell values apart (and must not try, or the choice would follow
+// measurement noise). The tuner resolves the four per workload:
 //
 //   1. Analytic warm start (Eq. 10 machinery): two tiny decomposition
 //      probes split the workload's HE/communication counts into per-batch
@@ -48,28 +50,24 @@
 
 namespace flb::tune {
 
-// One point in the knob space. Zero / -1 fields mean "keep the engine or
-// workload default", so the default-constructed KnobConfig is exactly
-// today's untuned behavior.
+// One point in the knob space. Zero / -1 fields mean "keep the config's
+// setting", so the default-constructed KnobConfig is exactly today's
+// untuned behavior.
 struct KnobConfig {
-  int gpu_streams = 0;           // device streams; 0 = engine default
-  int ghe_chunks_per_stream = 0; // chunk granularity; 0 = default (1)
-  int host_threads = 0;          // host pool width; 0 = inherit
-  int batch_size = 0;            // HE mini-batch rows; 0 = workload default
-  int use_bc = -1;               // batch compression; -1 = engine trait
-  bool use_fixed_width_kernels = true;
+  int gpu_streams = 0;           // device streams; 0 = keep
+  int ghe_chunks_per_stream = 0; // chunk granularity; 0 = keep
+  int batch_size = 0;            // HE mini-batch rows; 0 = keep
+  int use_bc = -1;               // batch compression; -1 = keep
 
   bool operator==(const KnobConfig& other) const {
     return gpu_streams == other.gpu_streams &&
            ghe_chunks_per_stream == other.ghe_chunks_per_stream &&
-           host_threads == other.host_threads &&
-           batch_size == other.batch_size && use_bc == other.use_bc &&
-           use_fixed_width_kernels == other.use_fixed_width_kernels;
+           batch_size == other.batch_size && use_bc == other.use_bc;
   }
   bool operator!=(const KnobConfig& other) const { return !(*this == other); }
 
   // Canonical single-line form, also the TuningCache wire format:
-  // "streams=4 chunks=2 threads=0 batch=512 bc=1 fixed=1".
+  // "streams=4 chunks=2 batch=512 bc=1".
   std::string ToString() const;
   // Parses ToString output. nullopt on malformed input (a corrupt cache
   // line is skipped, never trusted).
@@ -77,13 +75,10 @@ struct KnobConfig {
 };
 
 // The candidate axes for one workload. Axes with a single value are
-// effectively pinned (e.g. streams for CPU engines; host_threads, which
-// cannot be searched by simulated time because results are wall-clock
-// invariant by design).
+// effectively pinned (streams and chunks for CPU engines).
 struct KnobSpace {
   std::vector<int> gpu_streams;
   std::vector<int> chunks_per_stream;
-  std::vector<int> host_threads;
   std::vector<int> batch_sizes;
   std::vector<int> use_bc;
 
@@ -106,7 +101,7 @@ struct TuneOutcome {
 
 // Process-wide memo of chosen knobs per workload fingerprint, with an
 // optional disk tier. The disk file is a versioned line format
-// ("flbtune v1" header, then "<fingerprint> <KnobConfig::ToString>"),
+// ("flbtune v2" header, then "<fingerprint> <KnobConfig::ToString>"),
 // rewritten atomically-enough for a single-writer CI pipeline; corrupt
 // lines are ignored.
 class TuningCache {

@@ -49,7 +49,7 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus,
   ctx.r_words_ = ctx.r_mod_n_.ToFixedWords(ctx.s_);
   ctx.r2_words_ = ctx.r2_mod_n_.ToFixedWords(ctx.s_);
   ctx.one_words_ = BigInt(1).ToFixedWords(ctx.s_);
-  if (use_fixed_kernels && mpint::fixed::KernelsEnabled()) {
+  if (use_fixed_kernels) {
     // One table lookup per key: every MontMul/ModPow on this context then
     // runs the compile-time-width kernel. Unsupported widths keep the
     // generic path (kernel_ stays null).

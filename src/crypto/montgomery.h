@@ -10,8 +10,8 @@
 //   * a fixed-width kernel (src/mpint/fixed_kernels.h) when s is one of
 //     the instantiated Paillier widths — the stack-allocated, compile-time-
 //     width CIOS that makes MontMul/ModPow run without heap traffic. Odd
-//     widths (and FLB_FIXED_KERNELS=0) keep the generic radix-2^32 path,
-//     which doubles as the bit-exactness oracle.
+//     widths (and use_fixed_kernels = false) keep the generic radix-2^32
+//     path, which doubles as the bit-exactness oracle.
 //
 // ModPow uses sliding-window exponentiation (paper §IV-A3: complexity drops
 // from e to log_{2^b} e multiplications for window width b). With a fixed
@@ -41,8 +41,8 @@ class MontgomeryContext {
   // The modulus must be odd and >= 3 (Montgomery's method requires
   // gcd(n, R) = 1 with R a power of two). `use_fixed_kernels` selects the
   // fixed-width kernel when the modulus width has one (pass false to force
-  // the generic path, e.g. for differential benchmarks); FLB_FIXED_KERNELS=0
-  // force-disables process-wide. Results are bit-identical either way.
+  // the generic path, e.g. for differential benchmarks). Results are
+  // bit-identical either way.
   static Result<MontgomeryContext> Create(const BigInt& modulus,
                                           bool use_fixed_kernels = true);
 

@@ -89,7 +89,6 @@ struct PaillierOptions {
   // when the limb widths are instantiated (src/mpint/fixed_kernels.h).
   // Ciphertexts, plaintexts, and op counts are bit-identical either way —
   // false keeps the generic radix-2^32 path (the differential oracle).
-  // FLB_FIXED_KERNELS=0 force-disables process-wide.
   bool use_fixed_width_kernels = true;
 };
 

@@ -16,6 +16,13 @@ namespace flb::ghe {
 
 namespace {
 
+// Ciphertext (mod n^2) limbs for |n| = key_bits.
+size_t CiphertextLimbs(int key_bits) {
+  crypto::PaillierPublicKey pub;
+  pub.key_bits = key_bits;
+  return pub.CiphertextWords();
+}
+
 // Serialized size of `count` values of `s` limbs each.
 size_t BatchBytes(int64_t count, size_t s) {
   return static_cast<size_t>(count) * s * sizeof(uint32_t);
@@ -92,6 +99,30 @@ uint64_t EstimateModPowMontMuls(int exp_bits) {
   const uint64_t table = (uint64_t{1} << (w - 1)) + 1;
   const uint64_t conversions = 2;  // ToMont / FromMont
   return squarings + window_muls + table + conversions;
+}
+
+uint64_t PaillierEncryptLimbOps(int key_bits) {
+  return (EstimateModPowMontMuls(key_bits) + 3) *
+         MontMulLimbOps(CiphertextLimbs(key_bits));
+}
+
+uint64_t PaillierDecryptLimbOps(int key_bits, bool crt) {
+  const size_t s2 = CiphertextLimbs(key_bits);
+  if (!crt) return EstimateModPowMontMuls(key_bits) * MontMulLimbOps(s2);
+  return 2 * EstimateModPowMontMuls(key_bits / 2) * MontMulLimbOps(s2 / 2);
+}
+
+uint64_t PaillierAddLimbOps(int key_bits) {
+  return 3 * MontMulLimbOps(CiphertextLimbs(key_bits));
+}
+
+uint64_t PaillierAddPlainLimbOps(int key_bits) {
+  return 4 * MontMulLimbOps(CiphertextLimbs(key_bits));
+}
+
+uint64_t PaillierScalarMulLimbOps(int key_bits, int exp_bits) {
+  return EstimateModPowMontMuls(exp_bits) *
+         MontMulLimbOps(CiphertextLimbs(key_bits));
 }
 
 GheEngine::GheEngine(std::shared_ptr<gpusim::Device> device, GheConfig config)
@@ -571,16 +602,12 @@ Result<std::vector<BigInt>> GheEngine::PaillierEncrypt(
     const crypto::PaillierContext& ctx, const std::vector<BigInt>& ms,
     Rng& rng) {
   if (ms.empty()) return std::vector<BigInt>{};
-  const int key_bits = ctx.pub().key_bits;
   const size_t s2 = ctx.pub().CiphertextWords();
   std::vector<BigInt> out(ms.size());
   Status first_error;
-  // r^n mod n^2 dominates: an n-bit exponent over 2k-bit operands, plus the
-  // (n+1)^m fast path multiply.
-  const uint64_t ops =
-      (EstimateModPowMontMuls(key_bits) + 3) * MontMulLimbOps(s2);
   FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.paillier_encrypt", ms.size(), s2, ops,
+      LaunchBatch("ghe.paillier_encrypt", ms.size(), s2,
+                  PaillierEncryptLimbOps(ctx.pub().key_bits),
                   BatchBytes(ms.size(), s2 / 2), BatchBytes(ms.size(), s2),
                   [&] {
                     auto r = ctx.EncryptBatch(ms, rng, &host_pool());
@@ -598,15 +625,12 @@ Result<std::vector<BigInt>> GheEngine::PaillierEncrypt(
 Result<std::vector<BigInt>> GheEngine::PaillierDecrypt(
     const crypto::PaillierContext& ctx, const std::vector<BigInt>& cs) {
   if (cs.empty()) return std::vector<BigInt>{};
-  const int key_bits = ctx.pub().key_bits;
   const size_t s2 = ctx.pub().CiphertextWords();
-  // CRT: two half-width exponentiations over half-width moduli.
-  const uint64_t ops =
-      2 * EstimateModPowMontMuls(key_bits / 2) * MontMulLimbOps(s2 / 2);
   std::vector<BigInt> out(cs.size());
   Status first_error;
   FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.paillier_decrypt", cs.size(), s2, ops,
+      LaunchBatch("ghe.paillier_decrypt", cs.size(), s2,
+                  PaillierDecryptLimbOps(ctx.pub().key_bits),
                   BatchBytes(cs.size(), s2), BatchBytes(cs.size(), s2 / 2),
                   [&] {
                     auto r = ctx.DecryptBatch(cs, &host_pool());
@@ -632,7 +656,7 @@ Result<std::vector<BigInt>> GheEngine::PaillierAdd(
   Status first_error;
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.paillier_add", c1.size(), s2,
-                  /*limb_ops_per_elt=*/3 * MontMulLimbOps(s2),
+                  PaillierAddLimbOps(ctx.pub().key_bits),
                   BatchBytes(2 * c1.size(), s2), BatchBytes(c1.size(), s2),
                   [&] {
                     auto c = ctx.AddBatch(c1, c2, &host_pool());
@@ -656,10 +680,9 @@ Result<std::vector<BigInt>> GheEngine::PaillierAddPlain(
   const size_t s2 = ctx.pub().CiphertextWords();
   std::vector<BigInt> out(cs.size());
   Status first_error;
-  // g = n+1 path: one multiply + one ModMul per element.
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.paillier_add_plain", cs.size(), s2,
-                  /*limb_ops_per_elt=*/4 * MontMulLimbOps(s2),
+                  PaillierAddPlainLimbOps(ctx.pub().key_bits),
                   BatchBytes(cs.size(), s2) + BatchBytes(ks.size(), s2 / 2),
                   BatchBytes(cs.size(), s2),
                   [&] {
@@ -696,7 +719,7 @@ Result<std::vector<BigInt>> GheEngine::PaillierScalarMul(
   Status first_error;
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.paillier_scalar_mul", cs.size(), s2,
-                  EstimateModPowMontMuls(max_exp_bits) * MontMulLimbOps(s2),
+                  PaillierScalarMulLimbOps(ctx.pub().key_bits, max_exp_bits),
                   BatchBytes(2 * cs.size(), s2), BatchBytes(cs.size(), s2),
                   [&] {
                     auto c = ctx.ScalarMulBatch(cs, ks, &host_pool());
@@ -844,10 +867,9 @@ Result<crypto::RsaKeyPair> GheEngine::RsaKeyGen(int key_bits, Rng& rng) {
 
 Result<gpusim::LaunchResult> GheEngine::ModelPaillierEncrypt(int key_bits,
                                                              int64_t count) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  const uint64_t ops =
-      (EstimateModPowMontMuls(key_bits) + 3) * MontMulLimbOps(s2);
-  return LaunchBatch("ghe.model_encrypt", count, s2, ops,
+  const size_t s2 = CiphertextLimbs(key_bits);
+  return LaunchBatch("ghe.model_encrypt", count, s2,
+                     PaillierEncryptLimbOps(key_bits),
                      BatchBytes(count, s2 / 2), BatchBytes(count, s2),
                      /*body=*/nullptr);
 }
@@ -855,27 +877,26 @@ Result<gpusim::LaunchResult> GheEngine::ModelPaillierEncrypt(int key_bits,
 Result<gpusim::LaunchResult> GheEngine::ModelPaillierDecrypt(int key_bits,
                                                              int64_t count,
                                                              bool crt) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  const uint64_t ops =
-      crt ? 2 * EstimateModPowMontMuls(key_bits / 2) * MontMulLimbOps(s2 / 2)
-          : EstimateModPowMontMuls(key_bits) * MontMulLimbOps(s2);
-  return LaunchBatch("ghe.model_decrypt", count, s2, ops,
+  const size_t s2 = CiphertextLimbs(key_bits);
+  return LaunchBatch("ghe.model_decrypt", count, s2,
+                     PaillierDecryptLimbOps(key_bits, crt),
                      BatchBytes(count, s2), BatchBytes(count, s2 / 2),
                      /*body=*/nullptr);
 }
 
 Result<gpusim::LaunchResult> GheEngine::ModelPaillierAdd(int key_bits,
                                                          int64_t count) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return LaunchBatch("ghe.model_add", count, s2, 3 * MontMulLimbOps(s2),
+  const size_t s2 = CiphertextLimbs(key_bits);
+  return LaunchBatch("ghe.model_add", count, s2, PaillierAddLimbOps(key_bits),
                      BatchBytes(2 * count, s2), BatchBytes(count, s2),
                      /*body=*/nullptr);
 }
 
 Result<gpusim::LaunchResult> GheEngine::ModelPaillierAddPlain(int key_bits,
                                                               int64_t count) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return LaunchBatch("ghe.model_add_plain", count, s2, 4 * MontMulLimbOps(s2),
+  const size_t s2 = CiphertextLimbs(key_bits);
+  return LaunchBatch("ghe.model_add_plain", count, s2,
+                     PaillierAddPlainLimbOps(key_bits),
                      BatchBytes(count, s2) + BatchBytes(count, s2 / 2),
                      BatchBytes(count, s2), /*body=*/nullptr);
 }
@@ -883,9 +904,9 @@ Result<gpusim::LaunchResult> GheEngine::ModelPaillierAddPlain(int key_bits,
 Result<gpusim::LaunchResult> GheEngine::ModelPaillierScalarMul(int key_bits,
                                                                int64_t count,
                                                                int exp_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
+  const size_t s2 = CiphertextLimbs(key_bits);
   return LaunchBatch("ghe.model_scalar_mul", count, s2,
-                     EstimateModPowMontMuls(exp_bits) * MontMulLimbOps(s2),
+                     PaillierScalarMulLimbOps(key_bits, exp_bits),
                      BatchBytes(2 * count, s2), BatchBytes(count, s2),
                      /*body=*/nullptr);
 }

@@ -97,6 +97,23 @@ uint64_t MontMulLimbOps(size_t s);
 // exp_bits-bit exponent (squarings + window multiplies + table build).
 uint64_t EstimateModPowMontMuls(int exp_bits);
 
+// Limb operations of one Paillier op for |n| = key_bits, over the n^2
+// ciphertext limbs. The one price list for both execution paths: the GPU
+// launch model charges it through the device, the CPU cost model through
+// beta_cpu (Eq. 10), so both act on the same op counts.
+//
+// Encrypt: r^n mod n^2 (an n-bit exponent) plus the (n+1)^m fast path.
+uint64_t PaillierEncryptLimbOps(int key_bits);
+// Decrypt: with CRT, two half-width exponentiations over half-width
+// moduli; without, one full exponentiation mod n^2.
+uint64_t PaillierDecryptLimbOps(int key_bits, bool crt = true);
+// Ciphertext add: one ModMul mod n^2.
+uint64_t PaillierAddLimbOps(int key_bits);
+// Plaintext add (g = n+1 path): one multiply plus one ModMul.
+uint64_t PaillierAddPlainLimbOps(int key_bits);
+// Scalar multiply: one exponentiation by an exp_bits-bit scalar.
+uint64_t PaillierScalarMulLimbOps(int key_bits, int exp_bits);
+
 class GheEngine {
  public:
   GheEngine(std::shared_ptr<gpusim::Device> device, GheConfig config = {});

@@ -1,8 +1,6 @@
 #include "src/mpint/fixed_kernels.h"
 
-#include <cstdlib>
-
-#include "src/common/env.h"
+#include <iterator>
 
 namespace flb::mpint::fixed {
 
@@ -49,11 +47,6 @@ uint64_t NegInverseMod2p64(uint64_t n0) {
   uint64_t x = n0;  // correct to 3 bits for odd n0 (n0*n0 ≡ 1 mod 8)
   for (int i = 0; i < 6; ++i) x *= 2 - n0 * x;
   return 0u - x;
-}
-
-bool KernelsEnabled() {
-  static const bool enabled = common::Env::Flag("FLB_FIXED_KERNELS", true);
-  return enabled;
 }
 
 }  // namespace flb::mpint::fixed

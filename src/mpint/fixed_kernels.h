@@ -73,12 +73,6 @@ std::vector<size_t> SupportedWidths();
 // Montgomery factor mirroring crypto's radix-2^32 NegInverseMod2p32).
 uint64_t NegInverseMod2p64(uint64_t n0);
 
-// True unless the FLB_FIXED_KERNELS environment variable is set to "0" —
-// the process-wide kill switch for A/B runs and debugging. Consulted by
-// MontgomeryContext::Create; results are bit-identical either way, only
-// speed changes.
-bool KernelsEnabled();
-
 // ---- Template kernels -------------------------------------------------------
 // Header-visible so tests can instantiate widths beyond the table; normal
 // callers go through FindKernel.

@@ -221,9 +221,7 @@ TEST(FixedWidthKernelTest, ContextDispatchAndWordsOpsMatchOracle) {
     const BigInt mod = RandomModulus(rng, w);
     const auto fixed = MontgomeryContext::Create(mod, true).value();
     const auto generic = MontgomeryContext::Create(mod, false).value();
-    if (mpint::fixed::KernelsEnabled()) {
-      EXPECT_EQ(fixed.fixed_kernel_width(), w);
-    }
+    EXPECT_EQ(fixed.fixed_kernel_width(), w);
     EXPECT_EQ(generic.fixed_kernel_width(), 0u);
     for (int iter = 0; iter < 20; ++iter) {
       const BigInt a = EdgeValue(rng, w, mod);
@@ -347,9 +345,7 @@ TEST_P(FixedWidthPaillierTest, BatchesBitIdenticalWithKernelsOnAndOff) {
   off.use_fixed_width_kernels = false;
   const auto ctx_on = PaillierContext::Create(keys, on).value();
   const auto ctx_off = PaillierContext::Create(keys, off).value();
-  if (mpint::fixed::KernelsEnabled()) {
-    EXPECT_NE(ctx_on.eval().n2_ctx().fixed_kernel_width(), 0u);
-  }
+  EXPECT_NE(ctx_on.eval().n2_ctx().fixed_kernel_width(), 0u);
   EXPECT_EQ(ctx_off.eval().n2_ctx().fixed_kernel_width(), 0u);
 
   Rng data_rng(kSeed + 10);

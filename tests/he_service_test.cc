@@ -288,23 +288,60 @@ TEST(HeServiceStreams, TraitsCarryStreamCounts) {
 }
 
 TEST(HeServiceStreams, OptionsOverrideEngineDefault) {
-  SimClock clock;
-  auto device = MakeDevice(&clock);
-  HeServiceOptions opts = SmallRealOptions(EngineKind::kFlBooster);
-  auto by_trait = HeService::Create(opts, &clock, device).value();
-  ASSERT_NE(by_trait->ghe_engine(), nullptr);
-  EXPECT_EQ(by_trait->ghe_engine()->config().streams, 4);
+  // Every engine x every knob sentinel, resolved through HeService::Create:
+  // 0 / -1 take the engine's value, anything else overrides it.
+  struct EngineRow {
+    EngineKind engine;
+    bool gpu;
+    int streams;  // engine default
+    bool bc;      // engine trait
+  };
+  const EngineRow engines[] = {
+      {EngineKind::kFate, false, 1, false},
+      {EngineKind::kHaflo, true, 1, false},
+      {EngineKind::kFlBooster, true, 4, true},
+      {EngineKind::kFlBoosterNoGhe, false, 1, true},
+      {EngineKind::kFlBoosterNoBc, true, 4, false},
+  };
+  struct Override {
+    const char* name;
+    int gpu_streams;
+    int chunks;
+    int use_bc;
+  };
+  const Override overrides[] = {
+      {"none", 0, 0, -1},
+      {"gpu_streams=2", 2, 0, -1},
+      {"ghe_chunks_per_stream=3", 0, 3, -1},
+      {"use_bc=0", 0, 0, 0},
+      {"use_bc=1", 0, 0, 1},
+  };
+  for (const EngineRow& row : engines) {
+    for (const Override& o : overrides) {
+      SCOPED_TRACE(EngineName(row.engine) + " / " + o.name);
+      SimClock clock;
+      HeServiceOptions opts = SmallRealOptions(row.engine);
+      opts.gpu_streams = o.gpu_streams;
+      opts.ghe_chunks_per_stream = o.chunks;
+      opts.use_bc = o.use_bc;
+      auto he = HeService::Create(opts, &clock, MakeDevice(&clock));
+      ASSERT_TRUE(he.ok()) << he.status().ToString();
+      const HeService& service = *he.value();
 
-  opts.gpu_streams = 1;
-  auto forced_serial = HeService::Create(opts, &clock, device).value();
-  ASSERT_NE(forced_serial->ghe_engine(), nullptr);
-  EXPECT_EQ(forced_serial->ghe_engine()->config().streams, 1);
-
-  // CPU engines have no GPU HE engine to configure.
-  auto cpu = HeService::Create(SmallRealOptions(EngineKind::kFate), &clock,
-                               MakeDevice(&clock))
-                 .value();
-  EXPECT_EQ(cpu->ghe_engine(), nullptr);
+      EXPECT_EQ(service.traits().use_bc, o.use_bc < 0 ? row.bc : o.use_bc == 1);
+      EXPECT_EQ(service.pack_slots() > 1, service.traits().use_bc);
+      if (!row.gpu) {
+        // CPU engines have no GPU HE engine to configure.
+        EXPECT_EQ(service.ghe_engine(), nullptr);
+        continue;
+      }
+      ASSERT_NE(service.ghe_engine(), nullptr);
+      const ghe::GheConfig& config = service.ghe_engine()->config();
+      EXPECT_EQ(config.streams,
+                o.gpu_streams > 0 ? o.gpu_streams : row.streams);
+      EXPECT_EQ(config.chunks_per_stream, o.chunks > 0 ? o.chunks : 1);
+    }
+  }
 }
 
 TEST(HeServiceStreams, MultiStreamNeverChargesMoreAndStaysBitExact) {

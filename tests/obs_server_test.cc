@@ -332,6 +332,17 @@ TEST(HostProfilerTest, RecordsWallSpansAndMetrics) {
   ASSERT_TRUE(profiler.enabled());
   ASSERT_EQ(common::ThreadPool::observer(), &profiler);
 
+  // Tasks the profiler has seen so far, summed over workers (the global
+  // profiler may already hold counts from earlier pools in this process).
+  const auto profiled_tasks = [] {
+    double total = 0.0;
+    for (const auto& m : MetricsRegistry::Global().Collect()) {
+      if (m.name == "flb.host.profiled_tasks") total += m.value;
+    }
+    return total;
+  };
+  const double tasks_before = profiled_tasks();
+
   common::ThreadPool pool(4);
   std::vector<double> out(4096, 0.0);
   pool.ParallelFor(static_cast<int64_t>(out.size()),
@@ -348,10 +359,13 @@ TEST(HostProfilerTest, RecordsWallSpansAndMetrics) {
   EXPECT_NE(trace.find("\"cat\":\"wall\""), std::string::npos);
 
   // Metrics source contributes the per-worker counters + contention plane.
+  // Every chunk the ParallelFor issued (4096 elements over 4 workers = 16
+  // chunks) is counted exactly once, whichever workers ran or stole it:
+  // which worker runs any given chunk depends on scheduling.
+  EXPECT_EQ(profiled_tasks() - tasks_before, 16.0);
   const std::string metrics =
       obs::RenderPrometheus(MetricsRegistry::Global().Collect());
-  EXPECT_NE(metrics.find("flb_host_busy_ms{worker=\"0\"}"),
-            std::string::npos);
+  EXPECT_NE(metrics.find("flb_host_busy_ms{worker=\""), std::string::npos);
   EXPECT_NE(metrics.find("# TYPE flb_host_queue_depth gauge"),
             std::string::npos);
   EXPECT_NE(metrics.find("# TYPE flb_host_lock_wait_seconds histogram"),

@@ -53,10 +53,9 @@ TEST(KnobConfigTest, ToStringParseRoundTrip) {
   KnobConfig knobs;
   knobs.gpu_streams = 4;
   knobs.ghe_chunks_per_stream = 2;
-  knobs.host_threads = 0;
   knobs.batch_size = 512;
   knobs.use_bc = 1;
-  knobs.use_fixed_width_kernels = false;
+  EXPECT_EQ(knobs.ToString(), "streams=4 chunks=2 batch=512 bc=1");
   const std::optional<KnobConfig> parsed = KnobConfig::Parse(knobs.ToString());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, knobs);
@@ -68,11 +67,16 @@ TEST(KnobConfigTest, ParseRejectsMalformed) {
   EXPECT_FALSE(KnobConfig::Parse("garbage here entirely").has_value());
   // Out-of-range values are rejected, not trusted.
   EXPECT_FALSE(
-      KnobConfig::Parse(
-          "streams=9999 chunks=1 threads=0 batch=64 bc=-1 fixed=1")
+      KnobConfig::Parse("streams=9999 chunks=1 batch=64 bc=-1").has_value());
+  EXPECT_FALSE(
+      KnobConfig::Parse("streams=4 chunks=1 batch=64 bc=7").has_value());
+  // A v1 line (with the retired threads/fixed fields) and trailing junk
+  // are malformed in the v2 format.
+  EXPECT_FALSE(
+      KnobConfig::Parse("streams=4 chunks=1 threads=0 batch=64 bc=1 fixed=1")
           .has_value());
   EXPECT_FALSE(
-      KnobConfig::Parse("streams=4 chunks=1 threads=0 batch=64 bc=7 fixed=1")
+      KnobConfig::Parse("streams=4 chunks=1 batch=64 bc=1 fixed=1")
           .has_value());
 }
 
@@ -80,8 +84,6 @@ TEST(KnobSpaceTest, GpuEngineSearchesStreamsAndChunks) {
   const KnobSpace space = KnobSpace::For(SmallConfig());
   EXPECT_EQ(space.gpu_streams, (std::vector<int>{1, 2, 4, 8}));
   EXPECT_EQ(space.chunks_per_stream, (std::vector<int>{1, 2, 4}));
-  // Host threads are pinned: simulated time cannot distinguish them.
-  EXPECT_EQ(space.host_threads, (std::vector<int>{0}));
   // Batch sizes bracket the workload default, clamped to the dataset.
   ASSERT_FALSE(space.batch_sizes.empty());
   for (const int batch : space.batch_sizes) {
@@ -127,6 +129,19 @@ TEST(AutoTunerTest, ApplyDefaultsIsIdentityOnKnobFields) {
   EXPECT_EQ(applied.train.batch_size, base.train.batch_size);
   EXPECT_EQ(applied.use_bc, base.use_bc);
   EXPECT_EQ(applied.use_fixed_width_kernels, base.use_fixed_width_kernels);
+
+  // The unsearched knobs pass through a non-default candidate too.
+  core::PlatformConfig hand_set = base;
+  hand_set.host_threads = 3;
+  hand_set.use_fixed_width_kernels = false;
+  KnobConfig knobs;
+  knobs.gpu_streams = 2;
+  knobs.batch_size = 32;
+  const core::PlatformConfig tuned = AutoTuner::Apply(hand_set, knobs);
+  EXPECT_EQ(tuned.host_threads, 3);
+  EXPECT_FALSE(tuned.use_fixed_width_kernels);
+  EXPECT_EQ(tuned.gpu_streams, 2);
+  EXPECT_EQ(tuned.train.batch_size, 32);
 }
 
 TEST(AutoTunerTest, SearchIsDeterministic) {
@@ -264,7 +279,7 @@ TEST(TuningCacheTest, DiskRoundTripAndCorruptLines) {
   // Corrupt lines are skipped, valid ones still load.
   FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
-  std::fprintf(f, "flbtune v1\n");
+  std::fprintf(f, "flbtune v2\n");
   std::fprintf(f, "deadbeef00000002 total garbage\n");
   std::fprintf(f, "deadbeef00000003 %s\n", knobs.ToString().c_str());
   std::fclose(f);
@@ -275,6 +290,41 @@ TEST(TuningCacheTest, DiskRoundTripAndCorruptLines) {
       TuningCache::Global().Lookup(path, "deadbeef00000003");
   ASSERT_TRUE(valid.has_value());
   EXPECT_EQ(*valid, knobs);
+
+  std::remove(path.c_str());
+  TuningCache::Global().Clear();
+}
+
+TEST(TuningCacheTest, V1FileIsIgnored) {
+  // A cache written before the v2 line format: the header alone rejects
+  // the file, so none of its entries are misparsed into knobs.
+  const std::string path = ::testing::TempDir() + "/flb_tuner_cache_v1.txt";
+  FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fprintf(f, "flbtune v1\n");
+  std::fprintf(f,
+               "deadbeef00000004 streams=4 chunks=2 threads=0 batch=128 "
+               "bc=1 fixed=1\n");
+  std::fprintf(f, "deadbeef00000005 streams=4 chunks=2 batch=128 bc=1\n");
+  std::fclose(f);
+  TuningCache::Global().Clear();
+  EXPECT_FALSE(
+      TuningCache::Global().Lookup(path, "deadbeef00000004").has_value());
+  EXPECT_FALSE(
+      TuningCache::Global().Lookup(path, "deadbeef00000005").has_value());
+
+  // Storing over it rewrites the file as v2, which then loads.
+  KnobConfig knobs;
+  knobs.gpu_streams = 2;
+  ASSERT_TRUE(
+      TuningCache::Global().Store(path, "deadbeef00000006", knobs).ok());
+  TuningCache::Global().Clear();
+  const std::optional<KnobConfig> loaded =
+      TuningCache::Global().Lookup(path, "deadbeef00000006");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, knobs);
+  EXPECT_FALSE(
+      TuningCache::Global().Lookup(path, "deadbeef00000004").has_value());
 
   std::remove(path.c_str());
   TuningCache::Global().Clear();
