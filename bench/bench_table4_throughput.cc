@@ -192,9 +192,12 @@ void PrintHostWallclockSection() {
   json.Record("decrypt_wall_ms,threads=" + std::to_string(threads) + "," +
                   suffix,
               dec_ms_nt, "ms");
-  json.Record("precompute_cache_speedup," + suffix, secure_1t / pool_1t, "x");
-  json.Record("encrypt_thread_speedup," + suffix, pool_1t / pool_nt, "x");
-  json.Record("decrypt_thread_speedup," + suffix, dec_ms_1t / dec_ms_nt, "x");
+  json.Record("precompute_cache_wall_speedup," + suffix, secure_1t / pool_1t,
+              "x");
+  json.Record("encrypt_thread_wall_speedup," + suffix, pool_1t / pool_nt,
+              "x");
+  json.Record("decrypt_thread_wall_speedup," + suffix, dec_ms_1t / dec_ms_nt,
+              "x");
   json.Record("outputs_identical," + suffix, identical ? 1 : 0, "bool");
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Opt-in developer hook installer. Writes a pre-commit hook that runs
-# flb_lint + flb_analyze + clang-format over the STAGED C++ files only —
+# flb_analyze + clang-format over the STAGED C++ files only —
 # the same checks the CI lint job runs over the whole tree, scoped down so
 # a commit stays fast. Nothing in the build or CI depends on this; it is
 # purely a local early-warning net.
@@ -9,8 +9,8 @@
 #   ./scripts/install_hooks.sh              # install / refresh
 #   ./scripts/install_hooks.sh --uninstall  # remove (only our hook)
 #
-# The hook respects FLB_HOOK_BUILD_DIR (default: build) for prebuilt tool
-# binaries and builds them on first use if missing. Bypass a single commit
+# The hook respects FLB_HOOK_BUILD_DIR (default: build) for the prebuilt
+# flb_analyze binary and builds it on first use if missing. Bypass a single commit
 # with `git commit --no-verify`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,9 +37,9 @@ mkdir -p "$(dirname "$HOOK")"
 cat > "$HOOK" <<EOF
 #!/usr/bin/env bash
 $MARKER  (installed by scripts/install_hooks.sh; edit there, not here)
-# Lints the staged versions of changed C++ files: flb_lint (FLB001-005),
-# flb_analyze (FLB007-009, with the checked-in layering exceptions and
-# baseline), and clang-format when available. Skip once: --no-verify.
+# Lints the staged versions of changed C++ files: flb_analyze (FLB001-009,
+# with the checked-in layering exceptions and baseline), and clang-format
+# when available. Skip once: --no-verify.
 set -euo pipefail
 repo="\$(git rev-parse --show-toplevel)"
 build="\${FLB_HOOK_BUILD_DIR:-\$repo/build}"
@@ -50,12 +50,11 @@ if [ "\${#staged[@]}" -eq 0 ]; then
   exit 0
 fi
 
-lint="\$build/tools/flb_lint/flb_lint"
 analyze="\$build/tools/flb_analyze/flb_analyze"
-if [ ! -x "\$lint" ] || [ ! -x "\$analyze" ]; then
-  echo "pre-commit: building flb_lint + flb_analyze (first run)..."
+if [ ! -x "\$analyze" ]; then
+  echo "pre-commit: building flb_analyze (first run)..."
   cmake -S "\$repo" -B "\$build" >/dev/null
-  cmake --build "\$build" -j --target flb_lint flb_analyze >/dev/null
+  cmake --build "\$build" -j --target flb_analyze >/dev/null
 fi
 
 # Check the staged blobs, not the working tree: a partially staged file is
@@ -65,7 +64,6 @@ trap 'rm -rf "\$tmp"' EXIT
 git checkout-index --prefix="\$tmp/" -- "\${staged[@]}"
 cd "\$tmp"
 
-"\$lint" "\${staged[@]}"
 "\$analyze" \\
   --exceptions "\$repo/tools/flb_analyze/layering_exceptions.txt" \\
   --baseline "\$repo/tools/flb_analyze/analyze_baseline.txt" \\

@@ -92,17 +92,13 @@ echo "== tests =="
 ctest --test-dir "$REPO_ROOT/$BUILD_DIR" | tee "$RESULTS/tests.txt" | tail -3
 
 # Static-analysis counts ride the same BenchJson -> summary.json pipeline
-# as the benches: both tools drop BENCH_*.json artifacts into results/,
-# which the fold below picks up as flb.lint.* / flb.analyze.* rows.
+# as the benches: flb_analyze drops a BENCH_*.json artifact into results/,
+# which the fold below picks up as flb.analyze.* rows.
 echo "== static analysis =="
-"$REPO_ROOT/$BUILD_DIR"/tools/flb_lint/flb_lint \
-  --root "$REPO_ROOT/src" \
-  --json "$RESULTS/BENCH_flb_lint.json"
 "$REPO_ROOT/$BUILD_DIR"/tools/flb_analyze/flb_analyze \
   --root "$REPO_ROOT/src" \
   --exceptions "$REPO_ROOT/tools/flb_analyze/layering_exceptions.txt" \
   --baseline "$REPO_ROOT/tools/flb_analyze/analyze_baseline.txt" \
-  --cache "$REPO_ROOT/$BUILD_DIR/flb_analyze.cache" \
   --json "$RESULTS/BENCH_flb_analyze.json"
 
 for bench in "$REPO_ROOT/$BUILD_DIR"/bench/bench_*; do

@@ -2,17 +2,16 @@
 # Runs the full static-analysis pass; the CI lint job runs exactly this
 # script, so a clean local run means a green CI lint job.
 #
-#   1. flb_lint (domain invariants FLB001-FLB005) over src/, emitting a
-#      BenchJson summary to results/BENCH_flb_lint.json
-#   2. flb_analyze (interprocedural FLB007-FLB009: lock-order deadlocks,
-#      determinism taint, layering) over src/ with the checked-in
+#   1. flb_analyze (all nine rules: the token-local domain invariants
+#      FLB001-FLB006 and the interprocedural FLB007-FLB009 lock-order,
+#      determinism-taint and layering passes) over src/ with the checked-in
 #      exceptions + baseline files; emits results/BENCH_flb_analyze.json
 #      and results/flb_analyze.sarif (uploaded to code scanning in CI)
-#   3. clang thread-safety build of the flb library (-Werror=thread-safety)
-#   4. clang-tidy over src/ and tools/ via compile_commands.json
-#   5. clang-format --dry-run over tools/ and the whole src/ tree
+#   2. clang thread-safety build of the flb library (-Werror=thread-safety)
+#   3. clang-tidy over src/ and tools/ via compile_commands.json
+#   4. clang-format --dry-run over tools/ and the whole src/ tree
 #
-# Steps 3-5 need clang/clang-tidy/clang-format; when absent they are
+# Steps 2-4 need clang/clang-tidy/clang-format; when absent they are
 # skipped with a notice (the container toolchain is gcc-only) unless
 # --require-clang is given, in which case a missing tool is a hard failure.
 #
@@ -48,29 +47,20 @@ missing() {
   fi
 }
 
-# ---- 1. flb_lint ----------------------------------------------------------
+# ---- 1. flb_analyze -------------------------------------------------------
 cmake -B "$BUILD_DIR" -S . >/dev/null
-cmake --build "$BUILD_DIR" -j --target flb_lint >/dev/null
-mkdir -p results
-if ! "$BUILD_DIR"/tools/flb_lint/flb_lint --root src \
-    --json results/BENCH_flb_lint.json; then
-  echo "lint: flb_lint found violations" >&2
-  fail=1
-fi
-
-# ---- 2. flb_analyze -------------------------------------------------------
 cmake --build "$BUILD_DIR" -j --target flb_analyze >/dev/null
+mkdir -p results
 if ! "$BUILD_DIR"/tools/flb_analyze/flb_analyze --root src \
     --exceptions tools/flb_analyze/layering_exceptions.txt \
     --baseline tools/flb_analyze/analyze_baseline.txt \
-    --cache "$BUILD_DIR"/flb_analyze.cache \
     --json results/BENCH_flb_analyze.json \
     --sarif results/flb_analyze.sarif; then
   echo "lint: flb_analyze found new (non-baselined) findings" >&2
   fail=1
 fi
 
-# ---- 3. clang thread-safety build ----------------------------------------
+# ---- 2. clang thread-safety build ----------------------------------------
 if have clang++; then
   cmake -B "$BUILD_DIR-tsa" -S . \
     -DCMAKE_CXX_COMPILER=clang++ \
@@ -83,7 +73,7 @@ else
   missing clang++ "thread-safety analysis build"
 fi
 
-# ---- 4. clang-tidy --------------------------------------------------------
+# ---- 3. clang-tidy --------------------------------------------------------
 if have clang-tidy; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   # Headers are covered through HeaderFilterRegex in .clang-tidy.
@@ -96,7 +86,7 @@ else
   missing clang-tidy "clang-tidy checks"
 fi
 
-# ---- 5. clang-format ------------------------------------------------------
+# ---- 4. clang-format ------------------------------------------------------
 if have clang-format; then
   mapfile -t fmt_sources < <(git ls-files 'tools/**/*.cc' 'tools/**/*.h' \
     'src/**/*.cc' 'src/**/*.h')

@@ -1,5 +1,6 @@
-// fixture: no findings — single-lock nesting, deterministic accounting,
-// downward includes only.
+// fixture: no findings — single-lock nesting, an annotated mutex,
+// deterministic accounting, downward includes only.
+#include "src/common/annotations.h"
 #include "src/common/mutex.h"
 
 class Meter {
@@ -12,5 +13,5 @@ class Meter {
 
  private:
   common::Mutex mu_;
-  double total_ = 0.0;
+  double total_ FLB_GUARDED_BY(mu_) = 0.0;
 };

@@ -1,9 +1,9 @@
 // Tests for tools/flb_analyze: fixture files with exact rule+line
-// expectations, key stability, suppression/baseline semantics, cache
-// round-trips, output formats, and the real-tree cleanliness gate.
+// expectations, key stability, suppression/baseline semantics, output
+// formats, and the real-tree cleanliness gate for all nine rules. The
+// token-rule (FLB001–FLB006) fixtures are in flb_lint_test.cc.
 
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -12,9 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "tools/flb_analyze/analyze.h"
-#include "tools/flb_analyze/cache.h"
-#include "tools/flb_analyze/facts.h"
-#include "tools/flb_lint/lint.h"
 
 namespace flb::analyze {
 namespace {
@@ -35,7 +32,7 @@ std::string ReadFileOrDie(const std::string& path) {
 // path, so layering fixtures under src/<layer>/ land in a real layer.
 Report AnalyzeFixtures(const std::vector<std::string>& names,
                        const Options& opts = Options()) {
-  std::vector<lint::FileInput> files;
+  std::vector<FileInput> files;
   for (const std::string& name : names) {
     files.push_back({name, ReadFileOrDie(FixturePath(name))});
   }
@@ -69,12 +66,17 @@ std::string WriteTempFile(const std::string& name, const std::string& body) {
   return path;
 }
 
+// One rule table for all nine rules; FlbLintTest.RuleTableIsStable pins
+// the FLB001–FLB006 rows.
 TEST(FlbAnalyze, RuleTableIsStable) {
   const auto& rules = Rules();
-  ASSERT_EQ(rules.size(), 3u);
-  EXPECT_STREQ(rules[0].id, "FLB007");
-  EXPECT_STREQ(rules[1].id, "FLB008");
-  EXPECT_STREQ(rules[2].id, "FLB009");
+  ASSERT_EQ(rules.size(), 9u);
+  EXPECT_STREQ(rules[6].id, "FLB007");
+  EXPECT_STREQ(rules[6].name, "lock-order");
+  EXPECT_STREQ(rules[7].id, "FLB008");
+  EXPECT_STREQ(rules[7].name, "determinism-taint");
+  EXPECT_STREQ(rules[8].id, "FLB009");
+  EXPECT_STREQ(rules[8].name, "layering");
   for (const auto& r : rules) {
     EXPECT_NE(std::string(r.name), "");
     EXPECT_NE(std::string(r.summary), "");
@@ -83,7 +85,8 @@ TEST(FlbAnalyze, RuleTableIsStable) {
 
 TEST(FlbAnalyze, DeadlockCycleFixture) {
   Report report = AnalyzeFixtures({"deadlock_cycle.cc"});
-  ExpectFindings(report, {{"FLB007", 9}});
+  // The fixture's mutexes are also unannotated (FLB004).
+  ExpectFindings(report, {{"FLB007", 9}, {"FLB004", 19}, {"FLB004", 20}});
   const Finding& f = report.findings[0];
   EXPECT_EQ(f.key, "FLB007|cycle|Account::mu_a_+Account::mu_b_");
   EXPECT_NE(f.message.find("lock-order cycle"), std::string::npos);
@@ -94,7 +97,7 @@ TEST(FlbAnalyze, DeadlockCycleFixture) {
 
 TEST(FlbAnalyze, DeadlockCallbackFixture) {
   Report report = AnalyzeFixtures({"deadlock_callback.cc"});
-  ExpectFindings(report, {{"FLB007", 15}, {"FLB007", 19}});
+  ExpectFindings(report, {{"FLB007", 15}, {"FLB007", 19}, {"FLB004", 24}});
   // Direct recorder call while holding the component lock.
   EXPECT_EQ(report.findings[0].key,
             "FLB007|held-call|deadlock_callback.cc|Cache::Hit|Count|"
@@ -109,13 +112,14 @@ TEST(FlbAnalyze, DeadlockCallbackFixture) {
 
 TEST(FlbAnalyze, TaintHelperFixture) {
   Report report = AnalyzeFixtures({"taint_helper.cc"});
-  ExpectFindings(report, {{"FLB008", 24}, {"FLB008", 30}});
+  // The std::mt19937 on line 28 is also a banned entropy source (FLB002).
+  ExpectFindings(report, {{"FLB008", 24}, {"FLB002", 28}, {"FLB008", 30}});
   // Wall clock reaches the sim-time charge through ProbeSeconds' return.
   EXPECT_NE(report.findings[0].key.find("charge"), std::string::npos);
   EXPECT_NE(report.findings[0].key.find("wall_clock"), std::string::npos);
   // Entropy reaches serialized bytes through Pack's parameter.
-  EXPECT_NE(report.findings[1].key.find("serialize"), std::string::npos);
-  EXPECT_NE(report.findings[1].key.find("entropy"), std::string::npos);
+  EXPECT_NE(report.findings[2].key.find("serialize"), std::string::npos);
+  EXPECT_NE(report.findings[2].key.find("entropy"), std::string::npos);
 }
 
 TEST(FlbAnalyze, LayeringUpwardFixture) {
@@ -151,7 +155,8 @@ TEST(FlbAnalyze, BaselineSuppressesKnownFindingByKey) {
   Options opts;
   opts.baseline.insert("FLB007|cycle|Account::mu_a_+Account::mu_b_");
   Report report = AnalyzeFixtures({"deadlock_cycle.cc"}, opts);
-  ExpectFindings(report, {});
+  // Only the baselined key is silenced.
+  ExpectFindings(report, {{"FLB004", 19}, {"FLB004", 20}});
   EXPECT_EQ(report.baselined, 1u);
 }
 
@@ -173,7 +178,8 @@ TEST(FlbAnalyze, JustifiedInlineAllowSuppresses) {
       "  common::Mutex mu_b_;\n"
       "};\n";
   Report report = AnalyzeFiles({{"allow_ok.cc", src}}, Options());
-  EXPECT_TRUE(report.findings.empty());
+  // The unannotated mutex members (FLB004) carry no allow.
+  ExpectFindings(report, {{"FLB004", 12}, {"FLB004", 13}});
   EXPECT_EQ(report.suppressed, 1u);
   EXPECT_EQ(report.unjustified_allows, 0u);
 }
@@ -195,9 +201,13 @@ TEST(FlbAnalyze, BareAllowWithoutReasonDoesNotSuppress) {
       "  common::Mutex mu_b_;\n"
       "};\n";
   Report report = AnalyzeFiles({{"allow_bare.cc", src}}, Options());
-  ASSERT_EQ(report.findings.size(), 1u);
-  EXPECT_EQ(report.findings[0].rule, "FLB007");
-  EXPECT_EQ(report.findings[0].line, 5);
+  ExpectFindings(report, {{"FLB007", 5}, {"FLB004", 12}, {"FLB004", 13}});
+  EXPECT_NE(report.findings[0].message.find(
+                "[allow() present but missing a justification]"),
+            std::string::npos)
+      << report.findings[0].message;
+  EXPECT_EQ(report.findings[1].message.find("allow() present"),
+            std::string::npos);
   EXPECT_EQ(report.suppressed, 0u);
   EXPECT_EQ(report.unjustified_allows, 1u);
 }
@@ -258,13 +268,14 @@ TEST(FlbAnalyze, BenchJsonSummarySchema) {
 
 TEST(FlbAnalyze, SarifOutputStructure) {
   Report report = AnalyzeFixtures({"deadlock_cycle.cc", "src/net/upward.cc"});
-  ASSERT_EQ(report.findings.size(), 2u);
+  ASSERT_EQ(report.findings.size(), 4u);
   const std::string sarif = ReportToSarif(report);
   EXPECT_NE(sarif.find("\"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("sarif"), std::string::npos);
   EXPECT_NE(sarif.find("\"flb_analyze\""), std::string::npos);
-  // All three rules are declared even when only some fire.
-  for (const char* id : {"FLB007", "FLB008", "FLB009"}) {
+  // All nine rules are declared even when only some fire.
+  for (const char* id : {"FLB001", "FLB002", "FLB003", "FLB004", "FLB005",
+                         "FLB006", "FLB007", "FLB008", "FLB009"}) {
     EXPECT_NE(sarif.find(id), std::string::npos) << id;
   }
   EXPECT_NE(sarif.find("partialFingerprints"), std::string::npos);
@@ -272,54 +283,10 @@ TEST(FlbAnalyze, SarifOutputStructure) {
   EXPECT_NE(sarif.find("\"startLine\": 9"), std::string::npos);
 }
 
-TEST(FlbAnalyze, CacheRoundTripPreservesFindings) {
-  const std::vector<std::string> names = {
-      "deadlock_cycle.cc", "deadlock_callback.cc", "taint_helper.cc",
-      "src/net/upward.cc", "clean.cc"};
-  std::vector<FileFacts> facts;
-  for (const std::string& name : names) {
-    facts.push_back(ExtractFacts(name, ReadFileOrDie(FixturePath(name))));
-  }
-
-  const std::string text = SerializeCache(facts);
-  std::map<std::string, FileFacts> parsed;
-  std::string error;
-  ASSERT_TRUE(ParseCache(text, &parsed, &error)) << error;
-  ASSERT_EQ(parsed.size(), facts.size());
-
-  std::vector<FileFacts> round;
-  for (const FileFacts& f : facts) {
-    ASSERT_EQ(parsed.count(f.path), 1u) << f.path;
-    EXPECT_EQ(parsed.at(f.path).content_hash, f.content_hash);
-    round.push_back(parsed.at(f.path));
-  }
-  Report direct = AnalyzeFacts(facts, Options());
-  Report cached = AnalyzeFacts(round, Options());
-  ASSERT_EQ(cached.findings.size(), direct.findings.size());
-  for (size_t i = 0; i < direct.findings.size(); ++i) {
-    EXPECT_EQ(cached.findings[i].rule, direct.findings[i].rule);
-    EXPECT_EQ(cached.findings[i].file, direct.findings[i].file);
-    EXPECT_EQ(cached.findings[i].line, direct.findings[i].line);
-    EXPECT_EQ(cached.findings[i].key, direct.findings[i].key);
-  }
-}
-
-TEST(FlbAnalyze, WrongCacheVersionIsColdNotCorrupt) {
-  std::vector<FileFacts> facts = {ExtractFacts(
-      "clean.cc", ReadFileOrDie(FixturePath("clean.cc")))};
-  std::string text = SerializeCache(facts);
-  const size_t eol = text.find('\n');
-  ASSERT_NE(eol, std::string::npos);
-  text = "flb-analyze-cache 999" + text.substr(eol);
-  std::map<std::string, FileFacts> parsed;
-  std::string error;
-  EXPECT_TRUE(ParseCache(text, &parsed, &error)) << error;
-  EXPECT_TRUE(parsed.empty());
-}
-
-// The gate the CI lint job enforces: the real tree, analyzed with the
-// checked-in exceptions and baseline, has zero new findings — and every
-// baseline entry still matches a live finding (no stale debt).
+// The gate the CI lint job enforces: the real tree, analyzed with all
+// nine rules, the compiled-in allowlist and the checked-in exceptions and
+// baseline, has zero new findings — and every baseline entry still matches
+// a live finding (no stale debt).
 TEST(FlbAnalyze, RealSourceTreeIsClean) {
   Options opts;
   std::string error;
@@ -333,7 +300,7 @@ TEST(FlbAnalyze, RealSourceTreeIsClean) {
       << error;
 
   Report report;
-  ASSERT_TRUE(AnalyzeTree(std::string(FLB_SOURCE_ROOT) + "/src", opts, "",
+  ASSERT_TRUE(AnalyzeTree(std::string(FLB_SOURCE_ROOT) + "/src", opts,
                           &report, &error))
       << error;
   EXPECT_GT(report.files_scanned, 50u);

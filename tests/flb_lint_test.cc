@@ -1,7 +1,8 @@
-// flb_lint rule coverage: each fixture under tests/lint_fixtures/ carries
-// one deliberate violation per rule at a pinned line; clean.cc carries
-// none; and the real src/ tree must scan clean (the acceptance invariant
-// the CI lint job enforces, here pinned as a test).
+// Token-rule (FLB001–FLB006) coverage of flb_analyze: each fixture under
+// tests/lint_fixtures/ carries one deliberate violation per rule at a
+// pinned line and clean.cc carries none, all run through AnalyzeFiles, the
+// one entry point every rule shares. The real-tree gate for all nine rules
+// is FlbAnalyze.RealSourceTreeIsClean.
 
 #include <filesystem>
 #include <fstream>
@@ -11,31 +12,27 @@
 
 #include <gtest/gtest.h>
 
-#include "tools/flb_lint/lint.h"
+#include "tools/flb_analyze/analyze.h"
 
-namespace flb::lint {
+namespace flb::analyze {
 namespace {
 
 std::string FixturePath(const std::string& name) {
   return std::string(FLB_LINT_FIXTURE_DIR) + "/" + name;
 }
 
-// Lints one fixture file (as its own translation set) and returns the
-// report.
-Report LintFixture(const std::string& name) {
-  Report report;
-  std::string error;
-  // LintTree wants a directory; single files go through the CLI-style
-  // in-memory path instead.
-  std::vector<FileInput> inputs;
+std::string ReadFixture(const std::string& name) {
   std::ifstream in(FixturePath(name), std::ios::binary);
   EXPECT_TRUE(in.good()) << "missing fixture " << name;
   std::ostringstream content;
   content << in.rdbuf();
-  inputs.push_back({name, content.str()});
-  report = LintFiles(inputs, Options());
-  (void)error;
-  return report;
+  return content.str();
+}
+
+// Analyzes one fixture file (as its own translation set) and returns the
+// report.
+Report LintFixture(const std::string& name) {
+  return AnalyzeFiles({{name, ReadFixture(name)}}, Options());
 }
 
 struct Expected {
@@ -46,20 +43,20 @@ struct Expected {
 void ExpectViolations(const std::string& fixture,
                       const std::vector<Expected>& expected) {
   const Report report = LintFixture(fixture);
-  ASSERT_EQ(report.violations.size(), expected.size()) << fixture;
+  ASSERT_EQ(report.findings.size(), expected.size()) << fixture;
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(report.violations[i].rule, expected[i].rule)
-        << fixture << " violation " << i << ": "
-        << report.violations[i].message;
-    EXPECT_EQ(report.violations[i].line, expected[i].line)
-        << fixture << " violation " << i << ": "
-        << report.violations[i].message;
+    EXPECT_EQ(report.findings[i].rule, expected[i].rule)
+        << fixture << " finding " << i << ": " << report.findings[i].message;
+    EXPECT_EQ(report.findings[i].line, expected[i].line)
+        << fixture << " finding " << i << ": " << report.findings[i].message;
   }
 }
 
+// The token rules head the one rule table, with their IDs and names
+// unchanged (FlbAnalyze.RuleTableIsStable covers FLB007–FLB009).
 TEST(FlbLintTest, RuleTableIsStable) {
   const auto& rules = Rules();
-  ASSERT_EQ(rules.size(), 6u);
+  ASSERT_EQ(rules.size(), 9u);
   EXPECT_STREQ(rules[0].id, "FLB001");
   EXPECT_STREQ(rules[0].name, "wall-clock");
   EXPECT_STREQ(rules[1].id, "FLB002");
@@ -127,10 +124,17 @@ TEST(FlbLintTest, TunerMeasurementPathIsCleanWithoutAllowances) {
     content << in.rdbuf();
     inputs.push_back({path, content.str()});
   }
-  const Report report = LintFiles(inputs, Options());
-  for (const Violation& v : report.violations) {
-    ADD_FAILURE() << v.file << ":" << v.line << " [" << v.rule << "] "
-                  << v.message;
+  Options opts;
+  std::string error;
+  const std::string root(FLB_SOURCE_ROOT);
+  ASSERT_TRUE(
+      LoadExceptionsFile(root + "/tools/flb_analyze/layering_exceptions.txt",
+                         &opts.layering_exceptions, &error))
+      << error;
+  const Report report = AnalyzeFiles(inputs, opts);
+  for (const Finding& f : report.findings) {
+    ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule << "] "
+                  << f.message;
   }
   EXPECT_EQ(report.suppressed, 0u);
   EXPECT_EQ(report.unjustified_allows, 0u);
@@ -179,9 +183,9 @@ TEST(FlbLintTest, EveryAllowInTreeIsJustified) {
 
 TEST(FlbLintTest, CleanFixtureHasNoViolations) {
   const Report report = LintFixture("clean.cc");
-  for (const Violation& v : report.violations) {
-    ADD_FAILURE() << "clean.cc:" << v.line << " [" << v.rule << "] "
-                  << v.message;
+  for (const Finding& f : report.findings) {
+    ADD_FAILURE() << "clean.cc:" << f.line << " [" << f.rule << "] "
+                  << f.message;
   }
   EXPECT_EQ(report.suppressed, 0u);
 }
@@ -193,10 +197,13 @@ TEST(FlbLintTest, AllowWithoutReasonDoesNotSuppress) {
        "  int t = time(nullptr);  // flb-lint: allow(FLB001)\n"
        "  (void)t;\n"
        "}\n"}};
-  const Report report = LintFiles(inputs, Options());
-  ASSERT_EQ(report.violations.size(), 1u);
-  EXPECT_EQ(report.violations[0].rule, "FLB001");
-  EXPECT_EQ(report.violations[0].line, 2);
+  const Report report = AnalyzeFiles(inputs, Options());
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].rule, "FLB001");
+  EXPECT_EQ(report.findings[0].line, 2);
+  EXPECT_NE(report.findings[0].message.find(
+                "[allow() present but missing a justification]"),
+            std::string::npos);
   EXPECT_EQ(report.unjustified_allows, 1u);
   EXPECT_EQ(report.suppressed, 0u);
 }
@@ -209,8 +216,8 @@ TEST(FlbLintTest, AllowNextLineSuppresses) {
        "  int t = time(nullptr);\n"
        "  (void)t;\n"
        "}\n"}};
-  const Report report = LintFiles(inputs, Options());
-  EXPECT_TRUE(report.violations.empty());
+  const Report report = AnalyzeFiles(inputs, Options());
+  EXPECT_TRUE(report.findings.empty());
   EXPECT_EQ(report.suppressed, 1u);
 }
 
@@ -219,8 +226,8 @@ TEST(FlbLintTest, AllowlistExemptsFile) {
   options.allowlist.push_back({"FLB002", "legacy/seed_me_later.cc"});
   std::vector<FileInput> inputs = {
       {"legacy/seed_me_later.cc", "int Draw() { return rand(); }\n"}};
-  const Report report = LintFiles(inputs, options);
-  EXPECT_TRUE(report.violations.empty());
+  const Report report = AnalyzeFiles(inputs, options);
+  EXPECT_TRUE(report.findings.empty());
   EXPECT_EQ(report.allowlisted, 1u);
 }
 
@@ -229,39 +236,86 @@ TEST(FlbLintTest, BannedNamesInsideCommentsAndStringsAreIgnored) {
       {"prose.cc",
        "// system_clock and rand() discussed in prose only.\n"
        "const char* kDoc = \"uses std::random_device internally\";\n"}};
-  const Report report = LintFiles(inputs, Options());
-  EXPECT_TRUE(report.violations.empty());
+  const Report report = AnalyzeFiles(inputs, Options());
+  EXPECT_TRUE(report.findings.empty());
 }
 
+// Token-rule counts ride the one flb.analyze.* BenchJson schema.
 TEST(FlbLintTest, BenchJsonSummarySchema) {
   const Report report = LintFixture("discarded_status_violation.cc");
   const std::string json = ReportToBenchJson(report);
-  EXPECT_NE(json.find("\"bench\":\"flb_lint\""), std::string::npos);
-  EXPECT_NE(json.find("\"metric\":\"flb.lint.files_scanned\""),
+  EXPECT_NE(json.find("\"bench\":\"flb_analyze\""), std::string::npos);
+  EXPECT_NE(json.find("\"metric\":\"flb.analyze.files_scanned\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"metric\":\"flb.lint.violations\",\"value\":2"),
+  EXPECT_NE(json.find("\"metric\":\"flb.analyze.findings\",\"value\":2"),
             std::string::npos);
-  EXPECT_NE(
-      json.find("\"metric\":\"flb.lint.violations_by_rule.FLB005\",\"value\":2"),
-      std::string::npos);
+  EXPECT_NE(json.find("\"metric\":\"flb.analyze.suppressed\",\"value\":1"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"metric\":\"flb.analyze.allowlisted\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"metric\":\"flb.analyze.findings_by_rule.FLB005\","
+                      "\"value\":2"),
+            std::string::npos);
   EXPECT_NE(json.find("\"unit\":\"count\""), std::string::npos);
 }
 
-// The acceptance invariant: the real source tree is lint-clean. Runs the
-// same scan the CI lint job and scripts/run_lint.sh run.
+// A token-rule finding reaches SARIF and the baseline under a key that
+// names the rule, the file, the cited identifier and its occurrence —
+// never the line — so unrelated edits above it do not churn the baseline.
+TEST(FlbLintTest, TokenFindingKeyIsLineIndependentInSarif) {
+  const std::string name = "wall_clock_violation.cc";
+  const std::string content = ReadFixture(name);
+  const Report before = AnalyzeFiles({{name, content}}, Options());
+  ASSERT_EQ(before.findings.size(), 1u);
+  const Finding& f = before.findings[0];
+  EXPECT_EQ(f.rule, "FLB001");
+  EXPECT_EQ(f.key, "FLB001|wall_clock_violation.cc|system_clock|1");
+  const std::string sarif = ReportToSarif(before);
+  EXPECT_NE(sarif.find("\"ruleId\": \"FLB001\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"flbAnalyzeKey/v1\": \"" + f.key + "\""),
+            std::string::npos)
+      << sarif;
+
+  const Report shifted = AnalyzeFiles({{name, "\n" + content}}, Options());
+  ASSERT_EQ(shifted.findings.size(), 1u);
+  EXPECT_EQ(shifted.findings[0].line, f.line + 1);
+  EXPECT_EQ(shifted.findings[0].key, f.key);
+
+  // Repeats of one name in a file are numbered in source order.
+  const Report tuner = LintFixture("tuner_measurement_violation.cc");
+  std::vector<std::string> keys;
+  for (const Finding& t : tuner.findings) keys.push_back(t.key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "FLB002|tuner_measurement_violation.cc|<random>|1",
+                      "FLB001|tuner_measurement_violation.cc|steady_clock|1",
+                      "FLB001|tuner_measurement_violation.cc|steady_clock|2",
+                      "FLB002|tuner_measurement_violation.cc|random_device|1",
+                  }));
+
+  // The key is what the baseline matches on.
+  Options opts;
+  opts.baseline.insert(f.key);
+  const Report baselined = AnalyzeFiles({{name, "\n" + content}}, opts);
+  EXPECT_TRUE(baselined.findings.empty());
+  EXPECT_EQ(baselined.baselined, 1u);
+}
+
+// The real tree has no token-rule (FLB001–FLB006) findings under the
+// compiled-in allowlist alone: no baseline entry may stand in for one, so
+// token-rule debt cannot be parked in analyze_baseline.txt.
 TEST(FlbLintTest, RealSourceTreeIsClean) {
   Report report;
   std::string error;
-  ASSERT_TRUE(
-      LintTree(std::string(FLB_SOURCE_ROOT) + "/src", Options(), &report,
-               &error))
+  ASSERT_TRUE(AnalyzeTree(std::string(FLB_SOURCE_ROOT) + "/src", Options(),
+                          &report, &error))
       << error;
   EXPECT_GT(report.files_scanned, 50u);
-  for (const Violation& v : report.violations) {
-    ADD_FAILURE() << v.file << ":" << v.line << " [" << v.rule << "] "
-                  << v.message;
+  for (const Finding& f : report.findings) {
+    if (f.rule > "FLB006") continue;  // FLB007–FLB009: FlbAnalyze's gate
+    ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule << "] "
+                  << f.message;
   }
 }
 
 }  // namespace
-}  // namespace flb::lint
+}  // namespace flb::analyze

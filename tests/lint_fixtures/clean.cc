@@ -1,5 +1,5 @@
 // Fixture: a file every rule is happy with — ordered containers, seeded
-// determinism, annotated locking, handled statuses. flb_lint must report
+// determinism, annotated locking, handled statuses. flb_analyze must report
 // zero violations here.
 
 #include <cstdint>

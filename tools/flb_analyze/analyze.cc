@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 
-#include "tools/flb_analyze/cache.h"
+#include "tools/flb_analyze/facts.h"
+#include "tools/flb_analyze/token_rules.h"
 
 namespace flb::analyze {
 
@@ -114,8 +116,12 @@ std::string DirectHazard(const CallSite& c) {
 
 class Analyzer {
  public:
-  Analyzer(const std::vector<FileFacts>& facts, const Options& opts)
-      : facts_(facts), opts_(opts) {
+  Analyzer(const std::vector<SourceFile>& sources,
+           const std::vector<FileFacts>& facts, const Options& opts)
+      : sources_(sources), facts_(facts), opts_(opts) {
+    for (const SourceFile& file : sources_) {
+      suppressions_.emplace(file.path, &file.suppressions);
+    }
     for (size_t fi = 0; fi < facts_.size(); ++fi) {
       for (size_t gi = 0; gi < facts_[fi].functions.size(); ++gi) {
         const FnFacts& fn = facts_[fi].functions[gi];
@@ -135,6 +141,21 @@ class Analyzer {
   Report Run() {
     report_.files_scanned = facts_.size();
     report_.functions_analyzed = fns_.size();
+    CheckTokenRules(sources_, [this](const SourceFile& file, int line,
+                                     const char* rule,
+                                     const std::string& cited,
+                                     std::string message) {
+      Finding f;
+      f.rule = rule;
+      f.file = file.path;
+      f.line = line;
+      f.message = std::move(message);
+      // Numbered before any filtering, so suppressing one occurrence does
+      // not renumber the others.
+      const std::string id = f.rule + "|" + f.file + "|" + cited;
+      f.key = id + "|" + std::to_string(++token_occurrences_[id]);
+      Emit(std::move(f));
+    });
     Layering();
     Deadlock();
     Taint();
@@ -577,21 +598,36 @@ class Analyzer {
 
   // ---- emission ------------------------------------------------------
 
+  bool Allowlisted(const Finding& f) const {
+    for (const AllowEntry& e : opts_.allowlist) {
+      if (e.rule == f.rule && f.file.size() >= e.path_suffix.size() &&
+          f.file.compare(f.file.size() - e.path_suffix.size(),
+                         e.path_suffix.size(), e.path_suffix) == 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // The one emission path: file allowlist, then the inline allow at the
+  // finding line, then the baseline.
   void Emit(Finding f) {
     if (!keys_seen_.insert(f.key).second) return;
-    // Inline suppression at the finding line, lint syntax and semantics.
-    for (const FileFacts& file : facts_) {
-      if (file.path != f.file) continue;
-      const auto it = file.suppressions.find(f.line);
-      if (it != file.suppressions.end() &&
-          it->second.rules.count(f.rule) != 0) {
+    if (Allowlisted(f)) {
+      ++report_.allowlisted;
+      return;
+    }
+    const auto file = suppressions_.find(f.file);
+    if (file != suppressions_.end()) {
+      const auto it = file->second->find(f.line);
+      if (it != file->second->end() && it->second.rules.count(f.rule) != 0) {
         if (it->second.justified) {
           ++report_.suppressed;
           return;
         }
         ++report_.unjustified_allows;
+        f.message += " [allow() present but missing a justification]";
       }
-      break;
     }
     if (opts_.baseline.count(f.key) != 0) {
       ++report_.baselined;
@@ -609,9 +645,12 @@ class Analyzer {
               });
   }
 
+  const std::vector<SourceFile>& sources_;
   const std::vector<FileFacts>& facts_;
   const Options& opts_;
   Report report_;
+  std::map<std::string, const SuppressionMap*> suppressions_;
+  std::map<std::string, int> token_occurrences_;
   std::vector<const FnFacts*> fns_;
   std::vector<size_t> fn_file_;
   std::map<std::string, std::vector<size_t>> by_name_;
@@ -663,10 +702,66 @@ bool ReadLines(const std::string& path, std::vector<std::string>* out,
   return true;
 }
 
+bool ReadTree(const std::string& root, std::vector<FileInput>* out,
+              std::string* error) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  if (!fs::is_directory(root, ec)) {
+    if (error != nullptr) *error = "not a directory: " + root;
+    return false;
+  }
+  std::vector<std::string> paths;
+  for (fs::recursive_directory_iterator it(root, ec), end; it != end;
+       it.increment(ec)) {
+    if (ec) {
+      if (error != nullptr) *error = "walk failed under " + root;
+      return false;
+    }
+    if (!it->is_regular_file()) continue;
+    const std::string ext = it->path().extension().string();
+    if (ext == ".h" || ext == ".cc" || ext == ".cpp") {
+      paths.push_back(it->path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());  // deterministic scan order
+
+  out->reserve(out->size() + paths.size());
+  for (const std::string& path : paths) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      if (error != nullptr) *error = "cannot read " + path;
+      return false;
+    }
+    std::ostringstream content;
+    content << in.rdbuf();
+    out->push_back(FileInput{path, content.str()});
+  }
+  return true;
+}
+
 }  // namespace
 
-const std::vector<lint::RuleInfo>& Rules() {
-  static const std::vector<lint::RuleInfo> rules = {
+const std::vector<RuleInfo>& Rules() {
+  static const std::vector<RuleInfo> rules = {
+      {"FLB001", "wall-clock",
+       "wall-clock/time APIs outside common/timer.h (simulated time must "
+       "come from the SimClock)"},
+      {"FLB002", "entropy",
+       "unseeded randomness outside common/rng (breaks bit-identical "
+       "replay)"},
+      {"FLB003", "unordered-iter",
+       "iteration over std::unordered_{map,set} (order nondeterminism in "
+       "charged/serialized paths)"},
+      {"FLB004", "mutex-annotation",
+       "mutex members invisible to -Wthread-safety (raw std::mutex, or no "
+       "FLB_* annotation references the mutex)"},
+      {"FLB005", "discarded-status",
+       "Status/Result<T> return values dropped without handling or an "
+       "inline justification"},
+      {"FLB006", "unbounded-retry",
+       "retry loops on kUnavailable/kDeadlineExceeded that never consult "
+       "an attempt counter or common::Deadline (can spin forever on a "
+       "dead peer)"},
       {"FLB007", "lock-order",
        "cycles in the global lock-acquisition graph, and metrics/trace/"
        "clock/callback calls made while a component lock is held"},
@@ -680,6 +775,22 @@ const std::vector<lint::RuleInfo>& Rules() {
        "exception"},
   };
   return rules;
+}
+
+std::vector<AllowEntry> DefaultAllowlist() {
+  return {
+      // WallTimer is the one sanctioned wall-clock reader (benches and the
+      // CPU-HE cost calibration measure real elapsed time through it).
+      {"FLB001", "src/common/timer.h"},
+      // common::Rng owns the platform's entropy; everything else derives
+      // deterministic streams from it.
+      {"FLB002", "src/common/rng.h"},
+      {"FLB002", "src/common/rng.cc"},
+      // The host profiler IS the sanctioned wall plane: it timestamps real
+      // worker scheduling for the second (wall) trace clock domain and the
+      // flb.host.* metrics. Nothing it reads feeds charged accounting.
+      {"FLB001", "src/obs/host_profiler.cc"},
+  };
 }
 
 bool LoadExceptionsFile(const std::string& path,
@@ -726,58 +837,29 @@ bool LoadBaselineFile(const std::string& path, std::set<std::string>* out,
   return true;
 }
 
-Report AnalyzeFacts(const std::vector<FileFacts>& facts, const Options& opts) {
-  return Analyzer(facts, opts).Run();
-}
-
-Report AnalyzeFiles(const std::vector<lint::FileInput>& files,
-                    const Options& opts) {
+Report AnalyzeFiles(const std::vector<FileInput>& files, const Options& opts) {
+  std::vector<SourceFile> sources(files.size());
   std::vector<FileFacts> facts;
   facts.reserve(files.size());
-  for (const lint::FileInput& f : files) {
-    facts.push_back(ExtractFacts(f.path, f.content));
+  for (size_t i = 0; i < files.size(); ++i) {
+    sources[i].path = NormalizePath(files[i].path);
+    Tokenize(files[i].content, &sources[i].tokens, &sources[i].suppressions);
+    facts.push_back(ExtractFacts(sources[i]));
   }
-  return AnalyzeFacts(facts, opts);
+  return Analyzer(sources, facts, opts).Run();
 }
 
-bool AnalyzeTree(const std::string& root, const Options& opts,
-                 const std::string& cache_path, Report* report,
+bool AnalyzeTree(const std::string& root, const Options& opts, Report* report,
                  std::string* error) {
-  std::vector<lint::FileInput> files;
-  if (!lint::ReadTree(root, &files, error)) return false;
-
-  std::map<std::string, FileFacts> cached;
-  if (!cache_path.empty() &&
-      !LoadCache(cache_path, &cached, error)) {
-    return false;
-  }
-  std::vector<FileFacts> facts;
-  uint64_t hits = 0, misses = 0;
-  facts.reserve(files.size());
-  for (const lint::FileInput& f : files) {
-    const std::string norm = NormalizePath(f.path);
-    const uint64_t hash = HashContent(f.content);
-    const auto it = cached.find(norm);
-    if (it != cached.end() && it->second.content_hash == hash) {
-      ++hits;
-      facts.push_back(it->second);
-    } else {
-      ++misses;
-      facts.push_back(ExtractFacts(f.path, f.content));
-    }
-  }
-  if (!cache_path.empty() && !SaveCache(cache_path, facts, error)) {
-    return false;
-  }
-  *report = AnalyzeFacts(facts, opts);
-  report->cache_hits = hits;
-  report->cache_misses = misses;
+  std::vector<FileInput> files;
+  if (!ReadTree(root, &files, error)) return false;
+  *report = AnalyzeFiles(files, opts);
   return true;
 }
 
 std::string ReportToBenchJson(const Report& report) {
   std::map<std::string, uint64_t> by_rule;
-  for (const lint::RuleInfo& rule : Rules()) by_rule[rule.id] = 0;
+  for (const RuleInfo& rule : Rules()) by_rule[rule.id] = 0;
   for (const Finding& f : report.findings) ++by_rule[f.rule];
 
   std::ostringstream out;
@@ -800,9 +882,8 @@ std::string ReportToBenchJson(const Report& report) {
   row("analyze", "flb.analyze.findings", report.findings.size());
   row("analyze", "flb.analyze.baselined", report.baselined);
   row("analyze", "flb.analyze.suppressed", report.suppressed);
+  row("analyze", "flb.analyze.allowlisted", report.allowlisted);
   row("analyze", "flb.analyze.unjustified_allows", report.unjustified_allows);
-  row("analyze", "flb.analyze.cache_hits", report.cache_hits);
-  row("analyze", "flb.analyze.cache_misses", report.cache_misses);
   for (const auto& [rule, count] : by_rule) {
     row("rules", "flb.analyze.findings_by_rule." + rule, count);
   }
@@ -824,7 +905,7 @@ std::string ReportToSarif(const Report& report) {
       << "      \"version\": \"1.0.0\",\n"
       << "      \"rules\": [";
   bool first = true;
-  for (const lint::RuleInfo& rule : Rules()) {
+  for (const RuleInfo& rule : Rules()) {
     out << (first ? "\n" : ",\n") << "        {\"id\": \"" << rule.id
         << "\", \"name\": \"" << EscapeJson(rule.name)
         << "\", \"shortDescription\": {\"text\": \""

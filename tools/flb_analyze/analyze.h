@@ -1,31 +1,41 @@
-// flb_analyze: flow-aware, interprocedural static analysis for FLBooster.
+// flb_analyze: FLBooster's static-analysis tool.
 //
-// Where flb_lint flags banned names line-by-line, flb_analyze builds a
-// model of the whole tree — per-function lock-acquisition and call facts,
-// per-function taint atoms, and the cross-TU include graph — and runs
-// three global passes over it:
+// The platform's reproducibility claims rest on invariants a C++ compiler
+// cannot see: simulated time and byte accounting must be deterministic
+// and bit-identical across thread counts, and every lock must be visible
+// to Clang's thread-safety analysis and taken in one global order. One
+// pass reads and tokenizes each file once (no libclang, no preprocessor)
+// and runs nine rules:
 //
-//   FLB007 lock-order     static deadlock detection: cycles in the global
-//                         lock-acquisition graph, plus calls into the
-//                         metrics/trace/clock plane made while a component
-//                         lock is held (the leaf-lock discipline)
-//   FLB008 determinism-taint
-//                         wall-clock, ambient-entropy, pointer-order, and
-//                         unordered-iteration values propagated through
-//                         assignments, returns, and call edges into
-//                         sim-time charging, serialized bytes, Rng seeding,
-//                         and RunReport fields
-//   FLB009 layering       the architecture include DAG (common -> mpint ->
-//                         crypto -> {codec,gpusim,net} -> ghe -> core ->
-//                         fl), with an explicit exceptions file for the
-//                         sanctioned back-edges
+//   FLB001 wall-clock        banned wall-clock/time APIs in simulated paths
+//   FLB002 entropy           banned unseeded randomness outside common::Rng
+//   FLB003 unordered-iter    iteration over std::unordered_{map,set}
+//   FLB004 mutex-annotation  mutex members without thread-safety annotations
+//   FLB005 discarded-status  Status/Result<T> return values silently dropped
+//   FLB006 unbounded-retry   retry loops with no attempt/deadline budget
+//   FLB007 lock-order        static deadlock detection: cycles in the global
+//                            lock-acquisition graph, plus calls into the
+//                            metrics/trace/clock plane made while a
+//                            component lock is held (leaf-lock discipline)
+//   FLB008 determinism-taint wall-clock, ambient-entropy, pointer-order,
+//                            and unordered-iteration values propagated
+//                            through assignments, returns, and call edges
+//                            into sim-time charging, serialized bytes, Rng
+//                            seeding, and RunReport fields
+//   FLB009 layering          the architecture include DAG (common -> mpint
+//                            -> crypto -> {codec,gpusim,net} -> ghe ->
+//                            core -> fl), with an explicit exceptions file
+//                            for the sanctioned back-edges
 //
-// Every finding carries a line-number-independent `key`; a reviewed
-// baseline file of keys separates accepted debt from new regressions, and
-// inline `// flb-lint: allow(FLB00x) reason` comments suppress at the
-// finding line exactly as for flb_lint. Facts are serializable per file
-// (see facts.h) and cached keyed on content hash, so a warm incremental
-// run re-parses only edited files.
+// FLB001–FLB006 are token-local (token_rules.h); FLB007–FLB009 run over
+// per-file facts (facts.h) resolved across the whole tree.
+//
+// Every finding carries a line-number-independent `key` and goes through
+// one emission path, in this order: the compiled-in file allowlist
+// (DefaultAllowlist), then an inline `// flb-lint: allow(FLB00N) reason`
+// on the finding line (or `allow-next-line(...)` on the line above; a bare
+// allow() without a reason does not suppress and is marked on the
+// finding), then the reviewed baseline file of accepted keys.
 
 #ifndef FLB_TOOLS_FLB_ANALYZE_ANALYZE_H_
 #define FLB_TOOLS_FLB_ANALYZE_ANALYZE_H_
@@ -35,21 +45,26 @@
 #include <string>
 #include <vector>
 
-#include "tools/flb_analyze/facts.h"
-#include "tools/flb_lint/lint.h"
-
 namespace flb::analyze {
 
-// The fixed rule table (FLB007..FLB009), in rule-ID order.
-const std::vector<lint::RuleInfo>& Rules();
+struct RuleInfo {
+  const char* id;       // "FLB001"
+  const char* name;     // "wall-clock"
+  const char* summary;  // one-line description for --list-rules / docs
+};
+
+// The fixed rule table (FLB001..FLB009), in rule-ID order.
+const std::vector<RuleInfo>& Rules();
 
 struct Finding {
-  std::string rule;  // "FLB007" | "FLB008" | "FLB009"
+  std::string rule;  // "FLB001" .. "FLB009"
   std::string file;  // normalized path
   int line = 0;
   std::string message;
   // Stable identity: independent of line numbers, so the baseline survives
-  // unrelated edits. E.g. "FLB007|cycle|A::mu_+B::mu_".
+  // unrelated edits. E.g. "FLB007|cycle|A::mu_+B::mu_"; token-rule keys
+  // are `<rule>|<file>|<cited name>|<n>`, n counting that name's findings
+  // of that rule in the file ("FLB001|src/x.cc|steady_clock|2").
   std::string key;
   // Human-readable witness: the interprocedural path that produced the
   // finding, one hop per entry.
@@ -65,7 +80,19 @@ struct LayerException {
   std::string reason;
 };
 
+// One allowlist entry: `rule` is exempt in every file whose normalized
+// path ends with `path_suffix`.
+struct AllowEntry {
+  std::string rule;
+  std::string path_suffix;
+};
+
+// The compiled-in exemptions: the files that legitimately own wall-clock
+// and entropy primitives.
+std::vector<AllowEntry> DefaultAllowlist();
+
 struct Options {
+  std::vector<AllowEntry> allowlist = DefaultAllowlist();
   std::vector<LayerException> layering_exceptions;
   std::set<std::string> baseline;  // finding keys accepted as known debt
 };
@@ -89,26 +116,24 @@ struct Report {
   uint64_t include_edges = 0;
   uint64_t baselined = 0;        // findings matched by the baseline
   uint64_t suppressed = 0;       // silenced by justified inline allow()
-  uint64_t unjustified_allows = 0;
-  uint64_t cache_hits = 0;       // filled by AnalyzeTree when caching
-  uint64_t cache_misses = 0;
+  uint64_t allowlisted = 0;      // silenced by a file allowlist entry
+  uint64_t unjustified_allows = 0;  // allow() with no reason (not silenced)
 };
 
-// Runs all three passes over pre-extracted facts. `facts` is the whole
-// translation set; cross-file resolution (call edges, unordered-name
-// index, include layers) happens here.
-Report AnalyzeFacts(const std::vector<FileFacts>& facts, const Options& opts);
+struct FileInput {
+  std::string path;
+  std::string content;
+};
 
-// Extracts facts from in-memory files, then analyzes.
-Report AnalyzeFiles(const std::vector<lint::FileInput>& files,
-                    const Options& opts);
+// Analyzes in-memory files as one translation set with all nine rules:
+// cross-file resolution (FLB005's Status index, call edges, the
+// unordered-name index, include layers) spans every file.
+Report AnalyzeFiles(const std::vector<FileInput>& files, const Options& opts);
 
-// Walks `root` for *.h/*.cc/*.cpp (sorted order) and analyzes the tree.
-// When `cache_path` is non-empty, per-file facts are loaded from / saved
-// to it, keyed on content hash (see cache.h). Returns false with `error`
-// set on IO failure.
-bool AnalyzeTree(const std::string& root, const Options& opts,
-                 const std::string& cache_path, Report* report,
+// Reads every *.h / *.cc / *.cpp under `root` (recursive, sorted order)
+// and analyzes the tree. Returns false with `error` set when the root is
+// missing or a file cannot be read.
+bool AnalyzeTree(const std::string& root, const Options& opts, Report* report,
                  std::string* error);
 
 // BenchJson summary (`flb.analyze.*` metrics), schema-compatible with

@@ -15,7 +15,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "tools/flb_lint/token.h"
+#include "tools/flb_analyze/token.h"
 
 namespace flb::analyze {
 
@@ -42,7 +42,7 @@ struct Cfg {
 
 // Builds the CFG for a body token range: `begin` is the index of the
 // opening '{', `end` the index just past the matching '}'.
-Cfg BuildCfg(const std::vector<lint::Token>& tokens, size_t begin,
+Cfg BuildCfg(const std::vector<Token>& tokens, size_t begin,
              size_t end);
 
 }  // namespace flb::analyze

@@ -11,11 +11,6 @@ namespace flb::analyze {
 
 namespace {
 
-using lint::Is;
-using lint::IsIdent;
-using lint::SkipBalanced;
-using lint::Token;
-
 // ---------------------------------------------------------------------------
 // Source / sink vocabularies.
 // ---------------------------------------------------------------------------
@@ -96,15 +91,6 @@ bool LooksLikeMutexName(const std::string& name) {
 }
 
 }  // namespace
-
-uint64_t HashContent(const std::string& content) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : content) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::string NormalizePath(std::string path) {
   std::replace(path.begin(), path.end(), '\\', '/');
@@ -624,13 +610,11 @@ class FnExtractor {
 
 }  // namespace
 
-FileFacts ExtractFacts(const std::string& path, const std::string& content) {
+FileFacts ExtractFacts(const SourceFile& file) {
   FileFacts facts;
-  facts.path = NormalizePath(path);
-  facts.content_hash = HashContent(content);
+  facts.path = file.path;
 
-  std::vector<Token> tokens;
-  lint::Tokenize(content, &tokens, &facts.suppressions);
+  const std::vector<Token>& tokens = file.tokens;
   ParsedFile parsed = ParseFile(tokens);
   facts.includes = std::move(parsed.includes);
 

@@ -7,12 +7,6 @@ namespace flb::analyze {
 
 namespace {
 
-using lint::Is;
-using lint::IsIdent;
-using lint::IsString;
-using lint::SkipBalanced;
-using lint::Token;
-
 const std::set<std::string>& StmtKeywords() {
   static const std::set<std::string> kw = {
       "if",       "for",      "while",    "switch",   "return",
@@ -308,7 +302,7 @@ class Parser {
 
 }  // namespace
 
-ParsedFile ParseFile(const std::vector<lint::Token>& tokens) {
+ParsedFile ParseFile(const std::vector<Token>& tokens) {
   return Parser(tokens).Run();
 }
 

@@ -1,9 +1,9 @@
-#include "tools/flb_lint/token.h"
+#include "tools/flb_analyze/token.h"
 
 #include <algorithm>
 #include <cctype>
 
-namespace flb::lint {
+namespace flb::analyze {
 
 namespace {
 
@@ -190,4 +190,4 @@ void Tokenize(const std::string& src, std::vector<Token>* tokens,
   }
 }
 
-}  // namespace flb::lint
+}  // namespace flb::analyze

@@ -1,5 +1,4 @@
-// Shared C++ tokenizer for the repo-native static-analysis tools
-// (tools/flb_lint and tools/flb_analyze).
+// The C++ tokenizer every flb_analyze rule reads.
 //
 // The tokenizer produces identifiers, numbers, and (multi-char)
 // punctuation with line numbers. Comments and string/char literals are
@@ -9,15 +8,15 @@
 // `#` and the following tokens appear in the stream, which is how the
 // include-graph scan reads `#include "..."` lines.
 
-#ifndef FLB_TOOLS_FLB_LINT_TOKEN_H_
-#define FLB_TOOLS_FLB_LINT_TOKEN_H_
+#ifndef FLB_TOOLS_FLB_ANALYZE_TOKEN_H_
+#define FLB_TOOLS_FLB_ANALYZE_TOKEN_H_
 
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-namespace flb::lint {
+namespace flb::analyze {
 
 struct Token {
   enum class Kind { kIdent, kNumber, kPunct, kString };
@@ -40,6 +39,14 @@ using SuppressionMap = std::map<int, Suppression>;
 void Tokenize(const std::string& src, std::vector<Token>* tokens,
               SuppressionMap* suppressions);
 
+// One tokenized source file: the unit every rule reads. Each file is read
+// and tokenized once per run.
+struct SourceFile {
+  std::string path;  // normalized (see NormalizePath in facts.h)
+  std::vector<Token> tokens;
+  SuppressionMap suppressions;
+};
+
 // ---- token-stream helpers -------------------------------------------------
 
 bool Is(const std::vector<Token>& t, size_t i, const char* text);
@@ -53,6 +60,6 @@ bool IsString(const std::vector<Token>& t, size_t i);
 size_t SkipBalanced(const std::vector<Token>& t, size_t open,
                     const char* open_text, const char* close_text);
 
-}  // namespace flb::lint
+}  // namespace flb::analyze
 
-#endif  // FLB_TOOLS_FLB_LINT_TOKEN_H_
+#endif  // FLB_TOOLS_FLB_ANALYZE_TOKEN_H_

@@ -1,27 +1,12 @@
-#include "tools/flb_lint/lint.h"
+#include "tools/flb_analyze/token_rules.h"
 
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
-#include <fstream>
-#include <map>
 #include <set>
-#include <sstream>
-#include <tuple>
-#include <utility>
 
-#include "tools/flb_lint/token.h"
-
-namespace flb::lint {
+namespace flb::analyze {
 
 namespace {
-
-// The tokenizer (comments/strings stripped, suppression directives
-// harvested) lives in token.h, shared with tools/flb_analyze.
-
-// ---------------------------------------------------------------------------
-// The rule table.
-// ---------------------------------------------------------------------------
 
 constexpr const char* kWallClock = "FLB001";
 constexpr const char* kEntropy = "FLB002";
@@ -39,20 +24,13 @@ const std::set<std::string>& AnnotationMacros() {
   return macros;
 }
 
-struct FileContext {
-  std::string path;
-  std::vector<Token> tokens;
-  SuppressionMap suppressions;
-};
-
 class Linter {
  public:
-  Linter(const Options& opts, Report* report)
-      : opts_(opts), report_(report) {}
+  explicit Linter(const TokenFindingSink& emit) : emit_(emit) {}
 
   // Pass 1 over every file: collect the names of functions declared to
   // return Status or Result<T> (rule FLB005's call index).
-  void IndexStatusFunctions(const FileContext& f) {
+  void IndexStatusFunctions(const SourceFile& f) {
     const auto& t = f.tokens;
     for (size_t i = 0; i < t.size(); ++i) {
       if (!IsIdent(t, i)) continue;
@@ -86,7 +64,7 @@ class Linter {
     }
   }
 
-  void LintOne(const FileContext& f) {
+  void LintOne(const SourceFile& f) {
     CheckWallClockAndEntropy(f);
     CheckUnorderedIteration(f);
     CheckMutexAnnotations(f);
@@ -95,42 +73,9 @@ class Linter {
   }
 
  private:
-  // -- shared emission path (allowlist + suppression filtering) ------------
-
-  bool Allowlisted(const std::string& rule, const std::string& path) const {
-    for (const AllowEntry& e : opts_.allowlist) {
-      if (e.rule != "*" && e.rule != rule) continue;
-      if (path.size() >= e.path_suffix.size() &&
-          path.compare(path.size() - e.path_suffix.size(),
-                       e.path_suffix.size(), e.path_suffix) == 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void Emit(const FileContext& f, int line, const char* rule,
-            std::string message) {
-    if (Allowlisted(rule, f.path)) {
-      ++report_->allowlisted;
-      return;
-    }
-    const auto it = f.suppressions.find(line);
-    if (it != f.suppressions.end() && it->second.rules.count(rule) != 0) {
-      if (it->second.justified) {
-        ++report_->suppressed;
-        return;
-      }
-      ++report_->unjustified_allows;
-      message += " [allow() present but missing a justification]";
-    }
-    report_->violations.push_back(Violation{f.path, line, rule,
-                                            std::move(message)});
-  }
-
   // -- FLB001 / FLB002 -----------------------------------------------------
 
-  void CheckWallClockAndEntropy(const FileContext& f) {
+  void CheckWallClockAndEntropy(const SourceFile& f) {
     static const std::set<std::string> kWallAlways = {
         "system_clock",  "steady_clock", "high_resolution_clock",
         "gettimeofday",  "clock_gettime", "timespec_get",
@@ -154,14 +99,14 @@ class Linter {
           header += t[j].text;
         }
         if (kWallHeaders.count(header) != 0) {
-          Emit(f, t[i].line, kWallClock,
-               "#include <" + header + ">: wall-clock APIs are banned in "
-               "simulated paths (charge the SimClock; see common/timer.h)");
+          emit_(f, t[i].line, kWallClock, "<" + header + ">",
+                "#include <" + header + ">: wall-clock APIs are banned in "
+                "simulated paths (charge the SimClock; see common/timer.h)");
         }
         if (kEntropyHeaders.count(header) != 0) {
-          Emit(f, t[i].line, kEntropy,
-               "#include <" + header + ">: unseeded entropy is banned "
-               "(derive randomness from common::Rng)");
+          emit_(f, t[i].line, kEntropy, "<" + header + ">",
+                "#include <" + header + ">: unseeded entropy is banned "
+                "(derive randomness from common::Rng)");
         }
         continue;
       }
@@ -187,25 +132,25 @@ class Linter {
       if (!member_access &&
           (kWallAlways.count(id) != 0 ||
            (free_call && kWallCallOnly.count(id) != 0))) {
-        Emit(f, t[i].line, kWallClock,
-             "wall-clock API '" + id + "' in a simulated path: charged time "
-             "must come from the SimClock (wall timing belongs in "
-             "common/timer.h)");
+        emit_(f, t[i].line, kWallClock, id,
+              "wall-clock API '" + id + "' in a simulated path: charged time "
+              "must come from the SimClock (wall timing belongs in "
+              "common/timer.h)");
       }
       if (!member_access &&
           (kEntropyAlways.count(id) != 0 ||
            (free_call && kEntropyCallOnly.count(id) != 0))) {
-        Emit(f, t[i].line, kEntropy,
-             "entropy source '" + id + "' outside common/rng: unseeded "
-             "randomness breaks bit-identical replay (use common::Rng / "
-             "Rng::ForStream)");
+        emit_(f, t[i].line, kEntropy, id,
+              "entropy source '" + id + "' outside common/rng: unseeded "
+              "randomness breaks bit-identical replay (use common::Rng / "
+              "Rng::ForStream)");
       }
     }
   }
 
   // -- FLB003 --------------------------------------------------------------
 
-  void CheckUnorderedIteration(const FileContext& f) {
+  void CheckUnorderedIteration(const SourceFile& f) {
     static const std::set<std::string> kUnorderedTypes = {
         "unordered_map", "unordered_set", "unordered_multimap",
         "unordered_multiset"};
@@ -248,11 +193,11 @@ class Linter {
         if (colon == 0) continue;
         for (size_t j = colon + 1; j + 1 < past; ++j) {
           if (IsIdent(t, j) && unordered_names.count(t[j].text) != 0) {
-            Emit(f, t[i].line, kUnorderedIter,
-                 "iteration over unordered container '" + t[j].text +
-                     "': traversal order is nondeterministic and must not "
-                     "feed charged results or serialized messages (use "
-                     "std::map, or copy + sort first)");
+            emit_(f, t[i].line, kUnorderedIter, t[j].text,
+                  "iteration over unordered container '" + t[j].text +
+                      "': traversal order is nondeterministic and must not "
+                      "feed charged results or serialized messages (use "
+                      "std::map, or copy + sort first)");
             break;
           }
         }
@@ -263,17 +208,17 @@ class Linter {
           (t[i + 2].text == "begin" || t[i + 2].text == "cbegin" ||
            t[i + 2].text == "rbegin") &&
           Is(t, i + 3, "(")) {
-        Emit(f, t[i].line, kUnorderedIter,
-             "iterator traversal of unordered container '" + t[i].text +
-                 "': traversal order is nondeterministic and must not feed "
-                 "charged results or serialized messages");
+        emit_(f, t[i].line, kUnorderedIter, t[i].text,
+              "iterator traversal of unordered container '" + t[i].text +
+                  "': traversal order is nondeterministic and must not feed "
+                  "charged results or serialized messages");
       }
     }
   }
 
   // -- FLB004 --------------------------------------------------------------
 
-  void CheckMutexAnnotations(const FileContext& f) {
+  void CheckMutexAnnotations(const SourceFile& f) {
     const auto& t = f.tokens;
 
     // All names referenced inside FLB_* annotation macro arguments.
@@ -308,19 +253,19 @@ class Linter {
           IsIdent(t, i + 2) && AnnotationMacros().count(t[i + 2].text) != 0;
       if (!(Is(t, i + 2, ";") || decl_annotated)) continue;
       if (std_mutex) {
-        Emit(f, t[i].line, kMutexAnnotation,
-             "raw std::" + t[i].text + " member '" + name +
-                 "': use common::Mutex (src/common/mutex.h) so "
-                 "-Wthread-safety can see the capability");
+        emit_(f, t[i].line, kMutexAnnotation, name,
+              "raw std::" + t[i].text + " member '" + name +
+                  "': use common::Mutex (src/common/mutex.h) so "
+                  "-Wthread-safety can see the capability");
         continue;
       }
       if (!decl_annotated && annotated_names.count(name) == 0) {
-        Emit(f, t[i].line, kMutexAnnotation,
-             "mutex member '" + name +
-                 "' has no thread-safety annotation referencing it: add "
-                 "FLB_GUARDED_BY(" + name + ") to the state it protects "
-                 "(or FLB_REQUIRES/FLB_ACQUIRE on the functions that use "
-                 "it)");
+        emit_(f, t[i].line, kMutexAnnotation, name,
+              "mutex member '" + name +
+                  "' has no thread-safety annotation referencing it: add "
+                  "FLB_GUARDED_BY(" + name + ") to the state it protects "
+                  "(or FLB_REQUIRES/FLB_ACQUIRE on the functions that use "
+                  "it)");
       }
     }
   }
@@ -358,7 +303,7 @@ class Linter {
     return j == 0 ? std::string::npos : j - 1;
   }
 
-  void CheckDiscardedStatus(const FileContext& f) {
+  void CheckDiscardedStatus(const SourceFile& f) {
     const auto& t = f.tokens;
     for (size_t i = 0; i < t.size(); ++i) {
       if (!IsIdent(t, i) || status_fns_.count(t[i].text) == 0 ||
@@ -379,18 +324,18 @@ class Linter {
       const bool after_paren = before != std::string::npos &&
                                t[before].text == ")" && !void_cast;
       if (void_cast) {
-        Emit(f, t[i].line, kDiscardedStatus,
-             "Status/Result from '" + t[i].text + "' cast away with (void): "
-             "handle the error or justify with "
-             "`// flb-lint: allow(FLB005) <reason>`");
+        emit_(f, t[i].line, kDiscardedStatus, t[i].text,
+              "Status/Result from '" + t[i].text + "' cast away with (void): "
+              "handle the error or justify with "
+              "`// flb-lint: allow(FLB005) <reason>`");
       } else if (at_start || after_paren) {
         // `after_paren` covers `if (cond) DoSend();`-style single-statement
         // bodies. A preceding identifier means this was a declaration
         // (`Status Send(...);`), not a call.
-        Emit(f, t[i].line, kDiscardedStatus,
-             "return value of Status/Result-returning '" + t[i].text +
-                 "' is discarded: propagate with FLB_RETURN_IF_ERROR, "
-                 "handle it, or justify the discard");
+        emit_(f, t[i].line, kDiscardedStatus, t[i].text,
+              "return value of Status/Result-returning '" + t[i].text +
+                  "' is discarded: propagate with FLB_RETURN_IF_ERROR, "
+                  "handle it, or justify the discard");
       }
     }
   }
@@ -419,7 +364,7 @@ class Linter {
            lower.find("backoff") != std::string::npos;
   }
 
-  void CheckUnboundedRetry(const FileContext& f) {
+  void CheckUnboundedRetry(const SourceFile& f) {
     const auto& t = f.tokens;
     for (size_t i = 0; i < t.size(); ++i) {
       if (!IsIdent(t, i)) continue;
@@ -454,198 +399,28 @@ class Linter {
         if (IsBudgetIdent(text)) has_budget = true;
       }
       if (retries_transient && has_continue && !has_budget) {
-        Emit(f, t[i].line, kUnboundedRetry,
-             "loop retries on kUnavailable/kDeadlineExceeded without "
-             "consulting a budget: bound it with an attempt counter or a "
-             "common::Deadline so a dead peer cannot spin forever");
+        emit_(f, t[i].line, kUnboundedRetry, t[i].text,
+              "loop retries on kUnavailable/kDeadlineExceeded without "
+              "consulting a budget: bound it with an attempt counter or a "
+              "common::Deadline so a dead peer cannot spin forever");
       }
     }
   }
 
-  const Options& opts_;
-  Report* report_;
+  const TokenFindingSink& emit_;
   std::set<std::string> status_fns_;
   // Names also declared with a non-Status return type somewhere in the
   // tree; ambiguous, so FLB005 skips them.
   std::set<std::string> non_status_decls_;
 };
 
-std::string NormalizePath(std::string path) {
-  std::replace(path.begin(), path.end(), '\\', '/');
-  return path;
-}
-
 }  // namespace
 
-const std::vector<RuleInfo>& Rules() {
-  static const std::vector<RuleInfo> rules = {
-      {kWallClock, "wall-clock",
-       "wall-clock/time APIs outside common/timer.h (simulated time must "
-       "come from the SimClock)"},
-      {kEntropy, "entropy",
-       "unseeded randomness outside common/rng (breaks bit-identical "
-       "replay)"},
-      {kUnorderedIter, "unordered-iter",
-       "iteration over std::unordered_{map,set} (order nondeterminism in "
-       "charged/serialized paths)"},
-      {kMutexAnnotation, "mutex-annotation",
-       "mutex members invisible to -Wthread-safety (raw std::mutex, or no "
-       "FLB_* annotation references the mutex)"},
-      {kDiscardedStatus, "discarded-status",
-       "Status/Result<T> return values dropped without handling or an "
-       "inline justification"},
-      {kUnboundedRetry, "unbounded-retry",
-       "retry loops on kUnavailable/kDeadlineExceeded that never consult "
-       "an attempt counter or common::Deadline (can spin forever on a "
-       "dead peer)"},
-  };
-  return rules;
+void CheckTokenRules(const std::vector<SourceFile>& files,
+                     const TokenFindingSink& emit) {
+  Linter linter(emit);
+  for (const SourceFile& f : files) linter.IndexStatusFunctions(f);
+  for (const SourceFile& f : files) linter.LintOne(f);
 }
 
-std::vector<AllowEntry> DefaultAllowlist() {
-  return {
-      // WallTimer is the one sanctioned wall-clock reader (benches and the
-      // CPU-HE cost calibration measure real elapsed time through it).
-      {kWallClock, "src/common/timer.h"},
-      // common::Rng owns the platform's entropy; everything else derives
-      // deterministic streams from it.
-      {kEntropy, "src/common/rng.h"},
-      {kEntropy, "src/common/rng.cc"},
-      // The host profiler IS the sanctioned wall plane: it timestamps real
-      // worker scheduling for the second (wall) trace clock domain and the
-      // flb.host.* metrics. Nothing it reads feeds charged accounting.
-      {kWallClock, "src/obs/host_profiler.cc"},
-  };
-}
-
-Options::Options() : allowlist(DefaultAllowlist()) {}
-
-bool LoadAllowlistFile(const std::string& path, std::vector<AllowEntry>* out,
-                       std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open allowlist: " + path;
-    return false;
-  }
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    std::string rule, suffix, extra;
-    if (!(fields >> rule)) continue;  // blank / comment-only line
-    if (!(fields >> suffix) || (fields >> extra)) {
-      if (error != nullptr) {
-        *error = path + ":" + std::to_string(lineno) +
-                 ": expected `<rule> <path-suffix>`";
-      }
-      return false;
-    }
-    out->push_back(AllowEntry{rule, NormalizePath(suffix)});
-  }
-  return true;
-}
-
-Report LintFiles(const std::vector<FileInput>& files, const Options& opts) {
-  Report report;
-  Linter linter(opts, &report);
-
-  std::vector<FileContext> contexts;
-  contexts.reserve(files.size());
-  for (const FileInput& file : files) {
-    FileContext ctx;
-    ctx.path = NormalizePath(file.path);
-    Tokenize(file.content, &ctx.tokens, &ctx.suppressions);
-    contexts.push_back(std::move(ctx));
-  }
-  for (const FileContext& ctx : contexts) {
-    linter.IndexStatusFunctions(ctx);
-  }
-  for (const FileContext& ctx : contexts) {
-    linter.LintOne(ctx);
-    ++report.files_scanned;
-  }
-  std::sort(report.violations.begin(), report.violations.end(),
-            [](const Violation& a, const Violation& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
-            });
-  return report;
-}
-
-bool ReadTree(const std::string& root, std::vector<FileInput>* out,
-              std::string* error) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (!fs::is_directory(root, ec)) {
-    if (error != nullptr) *error = "not a directory: " + root;
-    return false;
-  }
-  std::vector<std::string> paths;
-  for (fs::recursive_directory_iterator it(root, ec), end; it != end;
-       it.increment(ec)) {
-    if (ec) {
-      if (error != nullptr) *error = "walk failed under " + root;
-      return false;
-    }
-    if (!it->is_regular_file()) continue;
-    const std::string ext = it->path().extension().string();
-    if (ext == ".h" || ext == ".cc" || ext == ".cpp") {
-      paths.push_back(it->path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());  // deterministic scan order
-
-  out->reserve(out->size() + paths.size());
-  for (const std::string& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      if (error != nullptr) *error = "cannot read " + path;
-      return false;
-    }
-    std::ostringstream content;
-    content << in.rdbuf();
-    out->push_back(FileInput{path, content.str()});
-  }
-  return true;
-}
-
-bool LintTree(const std::string& root, const Options& opts, Report* report,
-              std::string* error) {
-  std::vector<FileInput> files;
-  if (!ReadTree(root, &files, error)) return false;
-  *report = LintFiles(files, opts);
-  return true;
-}
-
-std::string ReportToBenchJson(const Report& report) {
-  std::map<std::string, uint64_t> by_rule;
-  for (const RuleInfo& rule : Rules()) by_rule[rule.id] = 0;
-  for (const Violation& v : report.violations) ++by_rule[v.rule];
-
-  std::ostringstream out;
-  out << "{\"bench\":\"flb_lint\",\"results\":[";
-  bool first = true;
-  auto row = [&](const std::string& section, const std::string& metric,
-                 uint64_t value) {
-    out << (first ? "\n" : ",\n") << "{\"bench\":\"flb_lint\",\"section\":\""
-        << section << "\",\"metric\":\"" << metric << "\",\"value\":" << value
-        << ",\"unit\":\"count\"}";
-    first = false;
-  };
-  row("lint", "flb.lint.rules_run", Rules().size());
-  row("lint", "flb.lint.files_scanned", report.files_scanned);
-  row("lint", "flb.lint.violations", report.violations.size());
-  row("lint", "flb.lint.suppressed", report.suppressed);
-  row("lint", "flb.lint.allowlisted", report.allowlisted);
-  row("lint", "flb.lint.unjustified_allows", report.unjustified_allows);
-  for (const auto& [rule, count] : by_rule) {
-    row("rules", "flb.lint.violations_by_rule." + rule, count);
-  }
-  out << "\n]}";
-  return out.str();
-}
-
-}  // namespace flb::lint
+}  // namespace flb::analyze
