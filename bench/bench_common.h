@@ -260,22 +260,6 @@ inline core::RunReport MustRun(const PlatformConfig& cfg) {
   return std::move(report).value();
 }
 
-inline std::string Short(FlModelKind model) {
-  switch (model) {
-    case FlModelKind::kHomoLr:
-      return "Homo LR";
-    case FlModelKind::kHeteroLr:
-      return "Hetero LR";
-    case FlModelKind::kHeteroSbt:
-      return "Hetero SBT";
-    case FlModelKind::kHeteroNn:
-      return "Hetero NN";
-    case FlModelKind::kHomoNn:
-      return "Homo NN";
-  }
-  return "?";
-}
-
 }  // namespace flb::bench
 
 #endif  // FLB_BENCH_BENCH_COMMON_H_

@@ -20,7 +20,7 @@ int main() {
       auto report = MustRun(cfg);
       const double total = report.total_seconds;
       std::printf("%-12s %-10s %12.2f %7.1f%% %7.1f%% %7.1f%%\n",
-                  Short(model).c_str(),
+                  flb::core::ModelName(model).c_str(),
                   flb::fl::DatasetName(dataset).c_str(), total,
                   100.0 * report.he_seconds / total,
                   100.0 * report.comm_seconds / total,

@@ -70,7 +70,8 @@ int main() {
       const double haflo = MeasureUtilization(EngineKind::kHaflo, model, key);
       const double booster =
           MeasureUtilization(EngineKind::kFlBooster, model, key);
-      std::printf("%-12s %5d %9.1f%% %11.1f%%\n", Short(model).c_str(), key,
+      std::printf("%-12s %5d %9.1f%% %11.1f%%\n",
+                  flb::core::ModelName(model).c_str(), key,
                   100.0 * haflo, 100.0 * booster);
     }
   }

@@ -24,8 +24,8 @@ int main() {
           WorkloadFor(model, dataset, EngineKind::kFlBoosterNoBc, key));
       const double ratio = static_cast<double>(without_bc.comm_bytes) /
                            static_cast<double>(with_bc.comm_bytes);
-      std::printf("%-12s %5d %16llu %16llu %13.1fx\n", Short(model).c_str(),
-                  key,
+      std::printf("%-12s %5d %16llu %16llu %13.1fx\n",
+                  flb::core::ModelName(model).c_str(), key,
                   static_cast<unsigned long long>(without_bc.comm_bytes),
                   static_cast<unsigned long long>(with_bc.comm_bytes), ratio);
     }

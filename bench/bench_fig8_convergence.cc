@@ -16,7 +16,7 @@ int main() {
   PrintHeader("Fig. 8 — convergence on Synthetic @ 1024-bit keys");
   for (auto model : kAllModels) {
     std::printf("\n-- %s: loss vs cumulative simulated seconds --\n",
-                Short(model).c_str());
+                flb::core::ModelName(model).c_str());
     std::printf("%-10s", "Method");
     const int epochs = 5;
     for (int e = 0; e < epochs; ++e) std::printf("   epoch%-2d        ", e);

@@ -35,7 +35,7 @@ int main() {
         min_speedup = std::min(min_speedup, vs_haflo);
         max_speedup = std::max(max_speedup, vs_haflo);
         std::printf("%-12s %-10s %5d %12.2f %12.2f %12.3f %8.1fx %8.1fx\n",
-                    Short(model).c_str(),
+                    flb::core::ModelName(model).c_str(),
                     flb::fl::DatasetName(dataset).c_str(), key, fate, haflo,
                     booster, vs_fate, vs_haflo);
       }

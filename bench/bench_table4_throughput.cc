@@ -319,13 +319,13 @@ int main() {
                       .he_throughput;
           BenchJson::Global().Record(
               "he_throughput,engine=" + std::string(engine_names[e]) +
-                  ",model=" + Short(model) +
+                  ",model=" + flb::core::ModelName(model) +
                   ",dataset=" + flb::fl::DatasetName(dataset) +
                   ",key=" + std::to_string(key),
               tp[e], "values/s");
         }
         std::printf("%-12s %-10s %5d %12.0f %12.0f %12.0f\n",
-                    Short(model).c_str(),
+                    flb::core::ModelName(model).c_str(),
                     flb::fl::DatasetName(dataset).c_str(), key, tp[0], tp[1],
                     tp[2]);
       }

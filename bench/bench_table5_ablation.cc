@@ -30,7 +30,7 @@ int main() {
                 WorkloadFor(model, dataset, EngineKind::kFlBoosterNoBc, key))
                 .total_seconds;
         std::printf("%-12s %-10s %5d %12.3f %12.2f %12.2f\n",
-                    Short(model).c_str(),
+                    flb::core::ModelName(model).c_str(),
                     flb::fl::DatasetName(dataset).c_str(), key, full, no_ghe,
                     no_bc);
       }

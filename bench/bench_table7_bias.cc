@@ -39,7 +39,8 @@ int main() {
           std::fabs(lossless.train.final_loss - quantized.train.final_loss) /
           lossless.train.final_loss;
       worst = std::max(worst, bias);
-      std::printf("%-12s %-10s %14.6f %14.6f %8.3f%%\n", Short(model).c_str(),
+      std::printf("%-12s %-10s %14.6f %14.6f %8.3f%%\n",
+                  flb::core::ModelName(model).c_str(),
                   flb::fl::DatasetName(dataset).c_str(),
                   lossless.train.final_loss, quantized.train.final_loss,
                   100.0 * bias);

@@ -10,8 +10,8 @@
 //    out-of-range input, so a typo'd knob is visible instead of silent.
 //
 // Reading the environment is deterministic for a fixed environment, so
-// these calls are fine on simulated paths (flb_lint FLB001/FLB002 are
-// about wall clocks and ambient entropy, not configuration).
+// these calls are fine on simulated paths (flb_analyze FLB001/FLB002
+// are about wall clocks and ambient entropy, not configuration).
 
 #ifndef FLB_COMMON_ENV_H_
 #define FLB_COMMON_ENV_H_

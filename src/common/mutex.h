@@ -5,7 +5,7 @@
 // `-Wthread-safety` cannot reason about it; this wrapper re-exports the
 // BasicLockable surface with the capability attributes attached, in the
 // Abseil idiom. All mutex-holding classes in the platform use these types;
-// tools/flb_lint rejects raw std::mutex members.
+// tools/flb_analyze rejects raw std::mutex members.
 //
 // Condition variables: use common::CondVar (std::condition_variable_any)
 // with a MutexLock. The wait predicate must be checked in a plain while

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/common/check.h"
-
 namespace flb::core {
 
 ResolvedEngine ResolveEngine(const HeServiceOptions& options) {
@@ -142,40 +140,105 @@ Status HeService::CheckLayout(const EncVec& v, EncLayout expected,
   return Status::OK();
 }
 
-void HeService::ChargeBatch(const char* kind, int64_t count,
-                            uint64_t limb_ops_per_elt, size_t bytes_in,
-                            size_t bytes_out) {
-  if (count <= 0) return;
-  if (traits_.gpu_he) {
-    // Model the batch through the engine: identical launch geometry to the
-    // real path, and with streams > 1 the same chunked copy/compute overlap
-    // (charges the clock through the device). The device traces the kernel
-    // and PCIe spans; the outer span shows the whole batch on the HE track.
-    obs::ScopedSpan span(
-        clock_, obs::TraceRecorder::Global().RegisterTrack("he", "batches"),
-        kind, "he");
-    span.AddArg(obs::Arg("count", count));
-    auto result = ghe_->ModelBatch(kind, count, CiphertextWords(),
-                                   limb_ops_per_elt, bytes_in, bytes_out);
-    FLB_CHECK(result.ok(), result.status().ToString());
-  } else {
-    ChargeCpu(kind, static_cast<uint64_t>(count), limb_ops_per_elt);
+Status HeService::ChargeBatch(const char* kind, size_t count,
+                              uint64_t limb_ops_per_elt, size_t bytes_in,
+                              size_t bytes_out) {
+  if (count == 0) return Status::OK();
+  const obs::Track track =
+      obs::TraceRecorder::Global().RegisterTrack("he", "batches");
+  if (!traits_.gpu_he) {
+    // Charge + span in one step: the span's extent is exactly the simulated
+    // CPU-HE time the cost model adds.
+    ChargeSpan(clock_, CostKind::kCpuHe,
+               options_.cpu_cost.SecondsFor(count, limb_ops_per_elt), track,
+               kind, "he", {obs::Arg("count", static_cast<uint64_t>(count))});
+    return Status::OK();
   }
+  // The engine prices the batch with the launch geometry of the kernel and,
+  // with streams > 1, the chunked copy/compute overlap. The device traces
+  // the kernel and PCIe spans; this span shows the whole batch on the HE
+  // track.
+  obs::ScopedSpan span(clock_, track, kind, "he");
+  span.AddArg(obs::Arg("count", static_cast<int64_t>(count)));
+  return ghe_
+      ->ModelBatch(kind, static_cast<int64_t>(count), CiphertextWords(),
+                   limb_ops_per_elt, bytes_in, bytes_out)
+      .status();
 }
 
-void HeService::ChargeCpu(const char* kind, uint64_t count,
-                          uint64_t limb_ops_per_elt) {
-  // Charge + span in one step: the span's extent is exactly the simulated
-  // CPU-HE time the cost model adds.
-  ChargeSpan(clock_, CostKind::kCpuHe,
-             options_.cpu_cost.SecondsFor(count, limb_ops_per_elt),
-             obs::TraceRecorder::Global().RegisterTrack("he", "batches"), kind,
-             "he", {obs::Arg("count", count)});
+// ---------------------------------------------------------------------------
+// Arithmetic seam
+// ---------------------------------------------------------------------------
+
+Result<std::vector<BigInt>> HeService::EncryptBody(
+    std::vector<BigInt> plains) {
+  if (options_.modeled) return plains;
+  return paillier_->EncryptBatch(plains, rng_, host_pool_);
+}
+
+Result<std::vector<BigInt>> HeService::DecryptBody(
+    const std::vector<BigInt>& cs) {
+  if (options_.modeled) return cs;
+  return paillier_->DecryptBatch(cs, host_pool_);
+}
+
+Result<std::vector<BigInt>> HeService::AddBody(std::vector<BigInt> a,
+                                               const std::vector<BigInt>& b) {
+  if (!options_.modeled) return paillier_->AddBatch(a, b, host_pool_);
+  for (size_t i = 0; i < a.size(); ++i) a[i] = BigInt::Add(a[i], b[i]) % n_;
+  return a;
+}
+
+Result<std::vector<BigInt>> HeService::AddPlainBody(
+    std::vector<BigInt> cs, const std::vector<BigInt>& ms) {
+  if (!options_.modeled) return paillier_->AddPlainBatch(cs, ms, host_pool_);
+  for (size_t i = 0; i < cs.size(); ++i) {
+    cs[i] = BigInt::Add(cs[i], ms[i]) % n_;
+  }
+  return cs;
+}
+
+Result<std::vector<BigInt>> HeService::ScalarMulBody(
+    std::vector<BigInt> cs, const std::vector<BigInt>& ks) {
+  if (!options_.modeled) return paillier_->ScalarMulBatch(cs, ks, host_pool_);
+  for (size_t i = 0; i < cs.size(); ++i) {
+    cs[i] = BigInt::Mul(cs[i], ks[i]) % n_;
+  }
+  return cs;
+}
+
+Result<BigInt> HeService::FoldBody(const BigInt& acc, int shift_bits,
+                                   const BigInt& x) {
+  if (shift_bits > 0) {
+    if (options_.modeled) {
+      return BigInt::Add(BigInt::ShiftLeft(acc, shift_bits), x) % n_;
+    }
+    FLB_ASSIGN_OR_RETURN(
+        const BigInt shifted,
+        paillier_->ScalarMul(acc, BigInt::PowerOfTwo(shift_bits)));
+    return FoldBody(shifted, 0, x);
+  }
+  if (options_.modeled) return BigInt::Add(acc, x) % n_;
+  return paillier_->Add(acc, x);
+}
+
+BigInt HeService::EmptySum() const {
+  return options_.modeled ? BigInt() : BigInt(uint64_t{1});
 }
 
 // ---------------------------------------------------------------------------
 // Packed-sum path
 // ---------------------------------------------------------------------------
+
+Result<std::vector<BigInt>> HeService::EncodePacked(
+    const std::vector<double>& values) const {
+  if (traits_.use_bc) return compressor_->Pack(values);
+  FLB_ASSIGN_OR_RETURN(auto slots, quantizer_.EncodeBatch(values));
+  std::vector<BigInt> plains;
+  plains.reserve(slots.size());
+  for (uint64_t s : slots) plains.emplace_back(s);
+  return plains;
+}
 
 Result<EncVec> HeService::EncryptValues(const std::vector<double>& values) {
   FLB_RETURN_IF_ERROR(CheckDeadline("HeService::EncryptValues"));
@@ -188,15 +251,8 @@ Result<EncVec> HeService::EncryptValues(const std::vector<double>& values) {
              obs::TraceRecorder::Global().RegisterTrack("he", "encode"),
              "he.encode", "encode",
              {obs::Arg("values", static_cast<uint64_t>(values.size()))});
-  // Quantize (+ pack).
-  std::vector<BigInt> plains;
-  if (traits_.use_bc) {
-    FLB_ASSIGN_OR_RETURN(plains, compressor_->Pack(values));
-  } else {
-    FLB_ASSIGN_OR_RETURN(auto slots, quantizer_.EncodeBatch(values));
-    plains.reserve(slots.size());
-    for (uint64_t s : slots) plains.emplace_back(s);
-  }
+  FLB_ASSIGN_OR_RETURN(std::vector<BigInt> plains, EncodePacked(values));
+  const size_t n = plains.size();
 
   EncVec out;
   out.layout = EncLayout::kPackedSum;
@@ -204,25 +260,13 @@ Result<EncVec> HeService::EncryptValues(const std::vector<double>& values) {
   out.slots_per_cipher = pack_slots();
   out.contributors = 1;
   out.modeled = options_.modeled;
-
-  const int64_t n_cipher = static_cast<int64_t>(plains.size());
-  if (options_.modeled) {
-    out.data = std::move(plains);
-    ChargeBatch("he.encrypt", n_cipher,
-                ghe::PaillierEncryptLimbOps(options_.key_bits),
-                n_cipher * CiphertextWords() * 2,  // staged plaintexts
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         ghe_->PaillierEncrypt(*paillier_, plains, rng_));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->EncryptBatch(plains, rng_, host_pool_));
-    ChargeCpu("he.encrypt", plains.size(),
-              ghe::PaillierEncryptLimbOps(options_.key_bits));
-  }
-  op_cells_.encrypts.fetch_add(static_cast<uint64_t>(n_cipher), std::memory_order_relaxed);
-  op_cells_.values_encrypted.fetch_add(values.size(), std::memory_order_relaxed);
+  FLB_ASSIGN_OR_RETURN(out.data, EncryptBody(std::move(plains)));
+  FLB_RETURN_IF_ERROR(ChargeBatch(
+      "he.encrypt", n, ghe::PaillierEncryptLimbOps(options_.key_bits),
+      CipherBytes(n) / 2, CipherBytes(n)));
+  op_cells_.encrypts.fetch_add(n, std::memory_order_relaxed);
+  op_cells_.values_encrypted.fetch_add(values.size(),
+                                       std::memory_order_relaxed);
   return out;
 }
 
@@ -238,26 +282,14 @@ Result<EncVec> HeService::AddCipher(const EncVec& a, const EncVec& b) {
         "AddCipher: contributor total would exceed the quantizer's overflow "
         "headroom");
   }
+  const size_t n = a.data.size();
   EncVec out = a;
   out.contributors = a.contributors + b.contributors;
-  const int64_t n_cipher = static_cast<int64_t>(a.data.size());
-  if (options_.modeled) {
-    for (size_t i = 0; i < a.data.size(); ++i) {
-      out.data[i] = BigInt::Add(a.data[i], b.data[i]) % n_;
-    }
-    ChargeBatch("he.add", n_cipher, ghe::PaillierAddLimbOps(options_.key_bits),
-                2 * n_cipher * CiphertextWords() * 4,
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data, ghe_->PaillierAdd(*paillier_, a.data,
-                                                     b.data));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->AddBatch(a.data, b.data, host_pool_));
-    ChargeCpu("he.add", a.data.size(),
-              ghe::PaillierAddLimbOps(options_.key_bits));
-  }
-  op_cells_.hom_adds.fetch_add(a.data.size(), std::memory_order_relaxed);
+  FLB_ASSIGN_OR_RETURN(out.data, AddBody(std::move(out.data), b.data));
+  FLB_RETURN_IF_ERROR(ChargeBatch("he.add", n,
+                                  ghe::PaillierAddLimbOps(options_.key_bits),
+                                  2 * CipherBytes(n), CipherBytes(n)));
+  op_cells_.hom_adds.fetch_add(n, std::memory_order_relaxed);
   return out;
 }
 
@@ -270,60 +302,31 @@ Result<EncVec> HeService::AddPlainValues(const EncVec& c,
   if (c.contributors + 1 > options_.participants) {
     return Status::OutOfRange("AddPlainValues: overflow headroom exhausted");
   }
-  std::vector<BigInt> plains;
-  if (traits_.use_bc) {
-    FLB_ASSIGN_OR_RETURN(plains, compressor_->Pack(values));
-  } else {
-    FLB_ASSIGN_OR_RETURN(auto slots, quantizer_.EncodeBatch(values));
-    plains.reserve(slots.size());
-    for (uint64_t s : slots) plains.emplace_back(s);
-  }
+  FLB_ASSIGN_OR_RETURN(const std::vector<BigInt> plains, EncodePacked(values));
   if (plains.size() != c.data.size()) {
     return Status::Internal("AddPlainValues: packing layout mismatch");
   }
+  const size_t n = plains.size();
   EncVec out = c;
   out.contributors = c.contributors + 1;
-  const int64_t n_cipher = static_cast<int64_t>(plains.size());
-  if (options_.modeled) {
-    for (size_t i = 0; i < plains.size(); ++i) {
-      out.data[i] = BigInt::Add(c.data[i], plains[i]) % n_;
-    }
-    ChargeBatch("he.add_plain", n_cipher,
-                ghe::PaillierAddPlainLimbOps(options_.key_bits),
-                n_cipher * CiphertextWords() * 6,
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         ghe_->PaillierAddPlain(*paillier_, c.data, plains));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->AddPlainBatch(c.data, plains, host_pool_));
-    ChargeCpu("he.add_plain", plains.size(),
-              ghe::PaillierAddPlainLimbOps(options_.key_bits));
-  }
-  op_cells_.hom_adds.fetch_add(plains.size(), std::memory_order_relaxed);
+  FLB_ASSIGN_OR_RETURN(out.data,
+                       AddPlainBody(std::move(out.data), plains));
+  FLB_RETURN_IF_ERROR(ChargeBatch(
+      "he.add_plain", n, ghe::PaillierAddPlainLimbOps(options_.key_bits),
+      CipherBytes(n) + CipherBytes(n) / 2, CipherBytes(n)));
+  op_cells_.hom_adds.fetch_add(n, std::memory_order_relaxed);
   return out;
 }
 
 Result<std::vector<double>> HeService::DecryptValues(const EncVec& c) {
   FLB_RETURN_IF_ERROR(CheckDeadline("HeService::DecryptValues"));
   FLB_RETURN_IF_ERROR(CheckLayout(c, EncLayout::kPackedSum, "DecryptValues"));
-  std::vector<BigInt> plains;
-  const int64_t n_cipher = static_cast<int64_t>(c.data.size());
-  if (options_.modeled) {
-    plains = c.data;
-    ChargeBatch("he.decrypt", n_cipher,
-                ghe::PaillierDecryptLimbOps(options_.key_bits),
-                n_cipher * CiphertextWords() * 4,
-                n_cipher * CiphertextWords() * 2);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(plains, ghe_->PaillierDecrypt(*paillier_, c.data));
-  } else {
-    FLB_ASSIGN_OR_RETURN(plains, paillier_->DecryptBatch(c.data, host_pool_));
-    ChargeCpu("he.decrypt", c.data.size(),
-              ghe::PaillierDecryptLimbOps(options_.key_bits));
-  }
-  op_cells_.decrypts.fetch_add(c.data.size(), std::memory_order_relaxed);
+  const size_t n = c.data.size();
+  FLB_ASSIGN_OR_RETURN(const std::vector<BigInt> plains, DecryptBody(c.data));
+  FLB_RETURN_IF_ERROR(ChargeBatch(
+      "he.decrypt", n, ghe::PaillierDecryptLimbOps(options_.key_bits),
+      CipherBytes(n), CipherBytes(n) / 2));
+  op_cells_.decrypts.fetch_add(n, std::memory_order_relaxed);
   op_cells_.values_decrypted.fetch_add(c.count, std::memory_order_relaxed);
   ChargeSpan(clock_, CostKind::kEncoding, c.count * 4e-9,
              obs::TraceRecorder::Global().RegisterTrack("he", "encode"),
@@ -358,28 +361,18 @@ Result<EncVec> HeService::EncryptFixedPoint(const std::vector<double>& values) {
     FLB_ASSIGN_OR_RETURN(BigInt x, fp_codec_->Encode(v));
     plains.push_back(std::move(x));
   }
+  const size_t n = plains.size();
   EncVec out;
   out.layout = EncLayout::kFixedPoint;
   out.count = values.size();
   out.modeled = options_.modeled;
-  const int64_t n_cipher = static_cast<int64_t>(plains.size());
-  if (options_.modeled) {
-    out.data = std::move(plains);
-    ChargeBatch("he.fp_encrypt", n_cipher,
-                ghe::PaillierEncryptLimbOps(options_.key_bits),
-                n_cipher * CiphertextWords() * 2,
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         ghe_->PaillierEncrypt(*paillier_, plains, rng_));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->EncryptBatch(plains, rng_, host_pool_));
-    ChargeCpu("he.fp_encrypt", plains.size(),
-              ghe::PaillierEncryptLimbOps(options_.key_bits));
-  }
-  op_cells_.encrypts.fetch_add(static_cast<uint64_t>(n_cipher), std::memory_order_relaxed);
-  op_cells_.values_encrypted.fetch_add(values.size(), std::memory_order_relaxed);
+  FLB_ASSIGN_OR_RETURN(out.data, EncryptBody(std::move(plains)));
+  FLB_RETURN_IF_ERROR(ChargeBatch(
+      "he.fp_encrypt", n, ghe::PaillierEncryptLimbOps(options_.key_bits),
+      CipherBytes(n) / 2, CipherBytes(n)));
+  op_cells_.encrypts.fetch_add(n, std::memory_order_relaxed);
+  op_cells_.values_encrypted.fetch_add(values.size(),
+                                       std::memory_order_relaxed);
   return out;
 }
 
@@ -391,26 +384,13 @@ Result<EncVec> HeService::AddFixedPoint(const EncVec& a, const EncVec& b) {
     return Status::InvalidArgument(
         "AddFixedPoint: operands must be unpacked with matching scales");
   }
+  const size_t n = a.data.size();
   EncVec out = a;
-  const int64_t n_cipher = static_cast<int64_t>(a.data.size());
-  if (options_.modeled) {
-    for (size_t i = 0; i < a.data.size(); ++i) {
-      out.data[i] = BigInt::Add(a.data[i], b.data[i]) % n_;
-    }
-    ChargeBatch("he.fp_add", n_cipher,
-                ghe::PaillierAddLimbOps(options_.key_bits),
-                2 * n_cipher * CiphertextWords() * 4,
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data, ghe_->PaillierAdd(*paillier_, a.data,
-                                                     b.data));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->AddBatch(a.data, b.data, host_pool_));
-    ChargeCpu("he.fp_add", a.data.size(),
-              ghe::PaillierAddLimbOps(options_.key_bits));
-  }
-  op_cells_.hom_adds.fetch_add(a.data.size(), std::memory_order_relaxed);
+  FLB_ASSIGN_OR_RETURN(out.data, AddBody(std::move(out.data), b.data));
+  FLB_RETURN_IF_ERROR(ChargeBatch("he.fp_add", n,
+                                  ghe::PaillierAddLimbOps(options_.key_bits),
+                                  2 * CipherBytes(n), CipherBytes(n)));
+  op_cells_.hom_adds.fetch_add(n, std::memory_order_relaxed);
   return out;
 }
 
@@ -428,27 +408,47 @@ Result<EncVec> HeService::ScalarMulFixedPoint(
     FLB_ASSIGN_OR_RETURN(BigInt k, fp_codec_->EncodeScalar(w));
     ks.push_back(std::move(k));
   }
+  const size_t n = c.data.size();
   EncVec out = c;
   out.scale_muls = c.scale_muls + 1;
-  const int64_t n_cipher = static_cast<int64_t>(c.data.size());
-  const uint64_t limb_ops = ghe::PaillierScalarMulLimbOps(
-      options_.key_bits, ScalarExpBits(options_.frac_bits));
-  if (options_.modeled) {
-    for (size_t i = 0; i < c.data.size(); ++i) {
-      out.data[i] = BigInt::Mul(c.data[i], ks[i]) % n_;
+  FLB_ASSIGN_OR_RETURN(out.data, ScalarMulBody(std::move(out.data), ks));
+  // Priced at the clipped-weight exponent width (ScalarExpBits), never the
+  // width of the scalars at hand, so a batch costs the same in both modes.
+  FLB_RETURN_IF_ERROR(ChargeBatch(
+      "he.fp_scalar_mul", n,
+      ghe::PaillierScalarMulLimbOps(options_.key_bits,
+                                    ScalarExpBits(options_.frac_bits)),
+      2 * CipherBytes(n), CipherBytes(n)));
+  op_cells_.scalar_muls.fetch_add(n, std::memory_order_relaxed);
+  return out;
+}
+
+Result<EncVec> HeService::SumGroups(
+    const char* kind, const EncVec& src,
+    const std::vector<std::vector<uint32_t>>& groups) {
+  EncVec out;
+  out.layout = EncLayout::kFixedPoint;
+  out.count = groups.size();
+  out.scale_muls = src.scale_muls;
+  out.modeled = options_.modeled;
+  out.data.reserve(groups.size());
+  size_t adds = 0;
+  for (const auto& group : groups) {
+    if (group.empty()) {
+      out.data.push_back(EmptySum());
+      continue;
     }
-    ChargeBatch("he.fp_scalar_mul", n_cipher, limb_ops,
-                2 * n_cipher * CiphertextWords() * 4,
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         ghe_->PaillierScalarMul(*paillier_, c.data, ks));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->ScalarMulBatch(c.data, ks, host_pool_));
-    ChargeCpu("he.fp_scalar_mul", c.data.size(), limb_ops);
+    BigInt acc = src.data[group[0]];
+    for (size_t t = 1; t < group.size(); ++t) {
+      FLB_ASSIGN_OR_RETURN(acc, FoldBody(acc, 0, src.data[group[t]]));
+    }
+    adds += group.size() - 1;
+    out.data.push_back(std::move(acc));
   }
-  op_cells_.scalar_muls.fetch_add(c.data.size(), std::memory_order_relaxed);
+  FLB_RETURN_IF_ERROR(ChargeBatch(kind, adds,
+                                  ghe::PaillierAddLimbOps(options_.key_bits),
+                                  2 * CipherBytes(adds), CipherBytes(adds)));
+  op_cells_.hom_adds.fetch_add(adds, std::memory_order_relaxed);
   return out;
 }
 
@@ -459,65 +459,28 @@ Result<EncVec> HeService::WeightedSums(
   if (c.slots_per_cipher != 1) {
     return Status::InvalidArgument("WeightedSums: input must be unpacked");
   }
-  // Flatten all terms into one scalar-mul batch.
-  std::vector<BigInt> term_ciphers;
-  std::vector<double> term_weights;
-  for (const auto& group : groups) {
-    for (const auto& term : group) {
+  // Flatten all terms into one scalar-mul batch, remembering where each
+  // group's products land.
+  EncVec flat;
+  flat.layout = EncLayout::kFixedPoint;
+  flat.scale_muls = c.scale_muls;
+  flat.modeled = c.modeled;
+  std::vector<double> weights;
+  std::vector<std::vector<uint32_t>> positions(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (const WeightedTerm& term : groups[g]) {
       if (term.index >= c.data.size()) {
         return Status::OutOfRange("WeightedSums: term index out of range");
       }
-      term_ciphers.push_back(c.data[term.index]);
-      term_weights.push_back(term.weight);
+      positions[g].push_back(static_cast<uint32_t>(flat.data.size()));
+      flat.data.push_back(c.data[term.index]);
+      weights.push_back(term.weight);
     }
   }
-  EncVec flat = c;
-  flat.count = term_ciphers.size();
-  flat.data = std::move(term_ciphers);
-  FLB_ASSIGN_OR_RETURN(EncVec products, ScalarMulFixedPoint(flat, term_weights));
-
-  // Fold products group-wise (charged as one add batch below).
-  EncVec out;
-  out.layout = EncLayout::kFixedPoint;
-  out.count = groups.size();
-  out.scale_muls = c.scale_muls + 1;
-  out.modeled = options_.modeled;
-  out.data.reserve(groups.size());
-  size_t pos = 0;
-  uint64_t adds = 0;
-  for (const auto& group : groups) {
-    if (group.empty()) {
-      // Empty group: encrypted zero (modeled: residue 0).
-      if (options_.modeled) {
-        out.data.emplace_back();
-      } else {
-        FLB_ASSIGN_OR_RETURN(BigInt zero, paillier_->Encrypt(BigInt(), rng_));
-        op_cells_.encrypts.fetch_add(1, std::memory_order_relaxed);
-        out.data.push_back(std::move(zero));
-      }
-      continue;
-    }
-    BigInt acc = products.data[pos++];
-    for (size_t t = 1; t < group.size(); ++t, ++pos) {
-      if (options_.modeled) {
-        acc = BigInt::Add(acc, products.data[pos]) % n_;
-      } else {
-        FLB_ASSIGN_OR_RETURN(acc, paillier_->Add(acc, products.data[pos]));
-      }
-      ++adds;
-    }
-    out.data.push_back(std::move(acc));
-  }
-  // ChargeBatch routes to the device model or the CPU cost model as the
-  // engine dictates. (In real-GPU mode the fold arithmetic above ran on the
-  // host context for simplicity; the charge prices it as the kernel the real
-  // system would launch.)
-  ChargeBatch("he.fp_fold", static_cast<int64_t>(adds),
-              ghe::PaillierAddLimbOps(options_.key_bits),
-              2 * adds * CiphertextWords() * 4,
-              adds * CiphertextWords() * 4);
-  op_cells_.hom_adds.fetch_add(adds, std::memory_order_relaxed);
-  return out;
+  flat.count = flat.data.size();
+  FLB_ASSIGN_OR_RETURN(const EncVec products,
+                       ScalarMulFixedPoint(flat, weights));
+  return SumGroups("he.fp_fold", products, positions);
 }
 
 Result<EncVec> HeService::SelectiveSums(
@@ -529,69 +492,26 @@ Result<EncVec> HeService::SelectiveSums(
   if (c.slots_per_cipher != 1) {
     return Status::InvalidArgument("SelectiveSums: input must be unpacked");
   }
-  EncVec out;
-  out.layout = EncLayout::kFixedPoint;
-  out.count = groups.size();
-  out.scale_muls = c.scale_muls;
-  out.modeled = options_.modeled;
-  out.data.reserve(groups.size());
-  uint64_t adds = 0;
   for (const auto& group : groups) {
-    if (group.empty()) {
-      if (options_.modeled) {
-        out.data.emplace_back();
-      } else {
-        FLB_ASSIGN_OR_RETURN(BigInt zero, paillier_->Encrypt(BigInt(), rng_));
-        op_cells_.encrypts.fetch_add(1, std::memory_order_relaxed);
-        out.data.push_back(std::move(zero));
-      }
-      continue;
-    }
-    if (group[0] >= c.data.size()) {
-      return Status::OutOfRange("SelectiveSums: index out of range");
-    }
-    BigInt acc = c.data[group[0]];
-    for (size_t t = 1; t < group.size(); ++t) {
-      if (group[t] >= c.data.size()) {
+    for (uint32_t index : group) {
+      if (index >= c.data.size()) {
         return Status::OutOfRange("SelectiveSums: index out of range");
       }
-      if (options_.modeled) {
-        acc = BigInt::Add(acc, c.data[group[t]]) % n_;
-      } else {
-        FLB_ASSIGN_OR_RETURN(acc, paillier_->Add(acc, c.data[group[t]]));
-      }
-      ++adds;
     }
-    out.data.push_back(std::move(acc));
   }
-  ChargeBatch("he.selective_sum", static_cast<int64_t>(adds),
-              ghe::PaillierAddLimbOps(options_.key_bits),
-              2 * adds * CiphertextWords() * 4,
-              adds * CiphertextWords() * 4);
-  op_cells_.hom_adds.fetch_add(adds, std::memory_order_relaxed);
-  return out;
+  return SumGroups("he.selective_sum", c, groups);
 }
 
 Result<std::vector<double>> HeService::DecryptFixedPoint(const EncVec& c) {
   FLB_RETURN_IF_ERROR(CheckDeadline("HeService::DecryptFixedPoint"));
   FLB_RETURN_IF_ERROR(
       CheckLayout(c, EncLayout::kFixedPoint, "DecryptFixedPoint"));
-  std::vector<BigInt> plains;
-  const int64_t n_cipher = static_cast<int64_t>(c.data.size());
-  if (options_.modeled) {
-    plains = c.data;
-    ChargeBatch("he.fp_decrypt", n_cipher,
-                ghe::PaillierDecryptLimbOps(options_.key_bits),
-                n_cipher * CiphertextWords() * 4,
-                n_cipher * CiphertextWords() * 2);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(plains, ghe_->PaillierDecrypt(*paillier_, c.data));
-  } else {
-    FLB_ASSIGN_OR_RETURN(plains, paillier_->DecryptBatch(c.data, host_pool_));
-    ChargeCpu("he.fp_decrypt", c.data.size(),
-              ghe::PaillierDecryptLimbOps(options_.key_bits));
-  }
-  op_cells_.decrypts.fetch_add(c.data.size(), std::memory_order_relaxed);
+  const size_t n = c.data.size();
+  FLB_ASSIGN_OR_RETURN(const std::vector<BigInt> plains, DecryptBody(c.data));
+  FLB_RETURN_IF_ERROR(ChargeBatch(
+      "he.fp_decrypt", n, ghe::PaillierDecryptLimbOps(options_.key_bits),
+      CipherBytes(n), CipherBytes(n) / 2));
+  op_cells_.decrypts.fetch_add(n, std::memory_order_relaxed);
   op_cells_.values_decrypted.fetch_add(c.count, std::memory_order_relaxed);
 
   std::vector<double> out;
@@ -625,11 +545,14 @@ Result<EncVec> HeService::CompressForTransmission(const EncVec& c) {
   if (!traits_.use_bc || c.slots_per_cipher != 1 || c.count <= 1) {
     return c;  // compression disabled or nothing to gain
   }
+  if (c.data.size() != c.count) {
+    return Status::InvalidArgument(
+        "CompressForTransmission: count does not match the ciphertexts");
+  }
   const int sb = fp_compress_slot_bits();
   const int slots = std::max(1, (options_.key_bits - 2) / sb);
   if (slots <= 1) return c;
 
-  const BigInt offset = BigInt::PowerOfTwo(sb - 1);
   EncVec out;
   out.layout = EncLayout::kFixedPoint;
   out.count = c.count;
@@ -638,53 +561,35 @@ Result<EncVec> HeService::CompressForTransmission(const EncVec& c) {
   out.fp_slot_bits = sb;
   out.modeled = options_.modeled;
 
-  uint64_t adds = 0, addplains = 0, scalar_muls = 0;
-  for (size_t base = 0; base < c.count; base += slots) {
-    const size_t group = std::min<size_t>(slots, c.count - base);
-    BigInt acc;
-    bool acc_set = false;
-    for (size_t j = 0; j < group; ++j) {
-      // shifted = (value + offset) * 2^(j*sb), homomorphically.
-      BigInt shifted;
-      if (options_.modeled) {
-        BigInt with_offset = BigInt::Add(c.data[base + j], offset) % n_;
-        shifted = BigInt::ShiftLeft(with_offset, static_cast<int>(j) * sb) % n_;
-      } else {
-        FLB_ASSIGN_OR_RETURN(BigInt with_offset,
-                             paillier_->AddPlain(c.data[base + j], offset));
-        FLB_ASSIGN_OR_RETURN(
-            shifted,
-            paillier_->ScalarMul(with_offset,
-                                 BigInt::PowerOfTwo(static_cast<int>(j) * sb)));
-      }
-      ++addplains;
-      ++scalar_muls;
-      if (!acc_set) {
-        acc = std::move(shifted);
-        acc_set = true;
-      } else {
-        if (options_.modeled) {
-          acc = BigInt::Add(acc, shifted) % n_;
-        } else {
-          FLB_ASSIGN_OR_RETURN(acc, paillier_->Add(acc, shifted));
-        }
-        ++adds;
-      }
+  // Horner fold per group from the top slot down, acc = acc^(2^sb) * w_j
+  // with w_j = E(v_j + 2^(sb-1)) (the offset makes every slot
+  // non-negative), so slot j lands at bit offset j * sb: sb squarings and
+  // one multiply per source ciphertext, never a slots*sb-bit
+  // exponentiation.
+  const BigInt offset = BigInt::PowerOfTwo(sb - 1);
+  size_t groups = 0;
+  for (size_t base = 0; base < c.count; base += slots, ++groups) {
+    const size_t n = std::min<size_t>(slots, c.count - base);
+    const auto first = c.data.begin() + base;
+    FLB_ASSIGN_OR_RETURN(
+        const std::vector<BigInt> w,
+        AddPlainBody({first, first + n}, std::vector<BigInt>(n, offset)));
+    BigInt acc = w[n - 1];
+    for (size_t j = n - 1; j-- > 0;) {
+      FLB_ASSIGN_OR_RETURN(acc, FoldBody(acc, sb, w[j]));
     }
     out.data.push_back(std::move(acc));
   }
-  // Charge the whole compression as one batch. Packing is Horner-style on
-  // the device (acc = acc^(2^sb) * E(v_j + offset)), so each source
-  // ciphertext costs sb squarings plus one multiply and one offset add —
-  // NOT a full slots*sb-bit exponentiation. (The host reference
-  // implementation above multiplies by 2^(j*sb) directly, which is
-  // algebraically identical.)
+  // Priced and counted per source ciphertext: one offset add-plain and one
+  // scalar-mul (sb squarings + a multiply), plus one add per fold.
   const size_t s2w = CiphertextWords();
-  ChargeBatch("he.cipher_compress", static_cast<int64_t>(scalar_muls),
-              (static_cast<uint64_t>(sb) + 6) * ghe::MontMulLimbOps(s2w),
-              2 * scalar_muls * s2w * 4, out.data.size() * s2w * 4);
-  op_cells_.hom_adds.fetch_add(adds + addplains, std::memory_order_relaxed);
-  op_cells_.scalar_muls.fetch_add(scalar_muls, std::memory_order_relaxed);
+  FLB_RETURN_IF_ERROR(ChargeBatch(
+      "he.cipher_compress", c.count,
+      (static_cast<uint64_t>(sb) + 6) * ghe::MontMulLimbOps(s2w),
+      2 * CipherBytes(c.count), CipherBytes(out.data.size())));
+  op_cells_.hom_adds.fetch_add(2 * c.count - groups,
+                               std::memory_order_relaxed);
+  op_cells_.scalar_muls.fetch_add(c.count, std::memory_order_relaxed);
   return out;
 }
 
@@ -698,12 +603,13 @@ void HeService::CollectMetrics(std::vector<obs::MetricValue>& out) const {
     m.value = static_cast<double>(value);
     out.push_back(std::move(m));
   };
-  counter("flb.he.encrypts", op_cells_.encrypts.load(std::memory_order_relaxed));
-  counter("flb.he.decrypts", op_cells_.decrypts.load(std::memory_order_relaxed));
-  counter("flb.he.hom_adds", op_cells_.hom_adds.load(std::memory_order_relaxed));
-  counter("flb.he.scalar_muls", op_cells_.scalar_muls.load(std::memory_order_relaxed));
-  counter("flb.he.values_encrypted", op_cells_.values_encrypted.load(std::memory_order_relaxed));
-  counter("flb.he.values_decrypted", op_cells_.values_decrypted.load(std::memory_order_relaxed));
+  const HeOpCounts counts = op_counts();
+  counter("flb.he.encrypts", counts.encrypts);
+  counter("flb.he.decrypts", counts.decrypts);
+  counter("flb.he.hom_adds", counts.hom_adds);
+  counter("flb.he.scalar_muls", counts.scalar_muls);
+  counter("flb.he.values_encrypted", counts.values_encrypted);
+  counter("flb.he.values_decrypted", counts.values_decrypted);
   // Fixed-width kernel limb width the n^2 context dispatched to (0 = the
   // generic path — modeled mode, odd widths, or use_fixed_width_kernels
   // off).

@@ -13,19 +13,22 @@
 //    scalar-multiply and selectively sum (SecureBoost histograms, Hetero LR
 //    gradient legs, the Hetero NN interactive layer). Under BC, *computed*
 //    fixed-point ciphertext vectors are compressed before transmission by
-//    cipher-space packing (SecureBoost+-style shift-and-add: each ciphertext
-//    is scalar-multiplied by 2^(slot offset) and offset-shifted to make the
-//    value non-negative, then all are homomorphically summed into one
-//    ciphertext) — so BC applies even to ciphertexts the sender cannot
-//    re-encrypt.
+//    cipher-space packing (SecureBoost+-style: each value is offset-shifted
+//    to be non-negative, then a Horner fold acc = acc^(2^sb) * E(v + 2^(sb-1))
+//    packs a group into one ciphertext) — so BC applies even to ciphertexts
+//    the sender cannot re-encrypt.
 //
-// Execution modes:
-//  * Real (default): genuine Paillier over the configured key size; results
-//    are cryptographically exact. Tests, examples, and small benches.
-//  * Modeled: the arithmetic runs on the *encoded plaintexts* (the
-//    quantize/pack/fixed-point math is still real, so model convergence is
-//    identical), while time, op counts, and bytes are charged exactly as the
-//    real engine would. Epoch-scale benches use this (DESIGN.md §1).
+// Execution modes. Every op is written once: validate, run the arithmetic
+// body, charge one batch, bump one count. The modes differ only in the
+// body (the private *Body helpers), so modeled charges and counts equal
+// real ones by construction:
+//  * Real (default): genuine Paillier over the configured key size, the
+//    PaillierContext batch on the host pool. Tests, examples, small benches.
+//  * Modeled: the body runs on the *encoded plaintexts* as residues mod n
+//    (the quantize/pack/fixed-point math is still real, so model
+//    convergence is identical). Epoch-scale benches use this (DESIGN.md §1).
+// Either way the charge goes to the CPU cost model or, on GPU engines, to
+// the device model (GheEngine::ModelBatch).
 
 #ifndef FLB_CORE_HE_SERVICE_H_
 #define FLB_CORE_HE_SERVICE_H_
@@ -164,7 +167,7 @@ class HeService : public obs::MetricsSource {
   // The modulus n (plaintext space).
   const BigInt& modulus() const { return n_; }
 
-  // ---- Packed-sum path -------------------------------------------------------
+  // ---- Packed-sum path ----------------------------------------------------
   Result<EncVec> EncryptValues(const std::vector<double>& values);
   Result<EncVec> AddCipher(const EncVec& a, const EncVec& b);
   // Slot-wise addition of the caller's own plaintext values (one
@@ -175,7 +178,7 @@ class HeService : public obs::MetricsSource {
   // Decrypts and decodes; `c.contributors` slot contributions are assumed.
   Result<std::vector<double>> DecryptValues(const EncVec& c);
 
-  // ---- Fixed-point path ------------------------------------------------------
+  // ---- Fixed-point path ---------------------------------------------------
   Result<EncVec> EncryptFixedPoint(const std::vector<double>& values);
   Result<EncVec> AddFixedPoint(const EncVec& a, const EncVec& b);
   // Elementwise E(v_i) * w_i for signed double weights.
@@ -195,9 +198,9 @@ class HeService : public obs::MetricsSource {
       const EncVec& c, const std::vector<std::vector<uint32_t>>& groups);
   Result<std::vector<double>> DecryptFixedPoint(const EncVec& c);
 
-  // ---- Batch compression, cipher-space (BC module, part 2) -------------------
+  // ---- Batch compression, cipher-space (BC module, part 2) ----------------
   // Packs an unpacked fixed-point EncVec into ~count/slots ciphertexts by
-  // homomorphic shift-and-add. Values must satisfy
+  // a homomorphic Horner fold (see the header comment). Values must satisfy
   // |v| * 2^(f*(1+scale_muls)) < 2^(slot_bits-1). No-op (returns a copy)
   // when BC is disabled for this engine.
   Result<EncVec> CompressForTransmission(const EncVec& c);
@@ -254,11 +257,38 @@ class HeService : public obs::MetricsSource {
             SimClock* clock, std::shared_ptr<gpusim::Device> device,
             codec::Quantizer quantizer);
 
-  // Charges CPU or GPU time for a batch of ops described by total limb work.
-  void ChargeBatch(const char* kind, int64_t count, uint64_t limb_ops_per_elt,
-                   size_t bytes_in, size_t bytes_out);
-  // CPU-path charge with a matching trace span (real CPU engines).
-  void ChargeCpu(const char* kind, uint64_t count, uint64_t limb_ops_per_elt);
+  // Charges one batch of `count` ops of `limb_ops_per_elt` limb work each:
+  // to the CPU cost model, or through the device model on GPU engines.
+  Status ChargeBatch(const char* kind, size_t count, uint64_t limb_ops_per_elt,
+                     size_t bytes_in, size_t bytes_out);
+  // Serialized bytes of `n` ciphertexts (plaintexts are half as wide).
+  size_t CipherBytes(size_t n) const { return n * CiphertextWords() * 4; }
+  // Quantizes (and, under BC, packs) values into packed-sum plaintexts.
+  Result<std::vector<BigInt>> EncodePacked(
+      const std::vector<double>& values) const;
+  // out_g = sum of src.data[i] over i in groups[g], charged as one add
+  // batch of `kind`; an empty group sums to the identity.
+  Result<EncVec> SumGroups(const char* kind, const EncVec& src,
+                           const std::vector<std::vector<uint32_t>>& groups);
+
+  // The arithmetic seam: the only code where the modes differ. Modeled
+  // bodies compute residues mod n; real bodies run the PaillierContext
+  // batch on host_pool_ with rng_. They neither charge nor count; modeled
+  // bodies reuse the operand vector they take by value.
+  Result<std::vector<BigInt>> EncryptBody(std::vector<BigInt> plains);
+  Result<std::vector<BigInt>> DecryptBody(const std::vector<BigInt>& cs);
+  Result<std::vector<BigInt>> AddBody(std::vector<BigInt> a,
+                                      const std::vector<BigInt>& b);
+  Result<std::vector<BigInt>> AddPlainBody(std::vector<BigInt> cs,
+                                           const std::vector<BigInt>& ms);
+  Result<std::vector<BigInt>> ScalarMulBody(std::vector<BigInt> cs,
+                                            const std::vector<BigInt>& ks);
+  // One fold step on a single ciphertext: acc * 2^shift_bits + x.
+  Result<BigInt> FoldBody(const BigInt& acc, int shift_bits, const BigInt& x);
+  // The homomorphic zero an empty sum yields: E(0) with r = 1, i.e. the
+  // ciphertext 1 (residue 0 when modeled). Not an encryption: uncounted.
+  BigInt EmptySum() const;
+
   Status CheckLayout(const EncVec& v, EncLayout expected,
                      const char* op) const;
   Status CheckDeadline(const char* op) const {

@@ -23,8 +23,8 @@
 //      playoff at the full workload size that always re-admits the
 //      config's own knobs, so tuning never chooses a config that measures
 //      worse than the defaults. No wall clock, no ambient entropy, so the
-//      whole search is bit-reproducible (flb_lint FLB001/FLB002 clean)
-//      and invariant to host thread count.
+//      whole search is bit-reproducible (flb_analyze FLB001/FLB002
+//      clean) and invariant to host thread count.
 //   3. TuningCache: the chosen knobs are memoized per workload
 //      fingerprint (FNV-1a over every run-shape field, seed excluded) in
 //      memory and optionally on disk (PlatformConfig::tuner_cache /

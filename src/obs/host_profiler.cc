@@ -14,7 +14,7 @@ namespace flb::obs {
 namespace {
 
 // Wall-clock by design: this file IS the wall plane (see header). Nothing
-// derived from these stamps ever reaches charged accounting; flb_lint
+// derived from these stamps ever reaches charged accounting; flb_analyze
 // allowlists this file for FLB001.
 uint64_t NowNs() {
   return static_cast<uint64_t>(

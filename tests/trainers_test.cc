@@ -107,12 +107,11 @@ TEST(HomoLrTest, ModeledMatchesRealLossTrajectory) {
   ASSERT_EQ(rres.epochs.size(), mres.epochs.size());
   for (size_t e = 0; e < rres.epochs.size(); ++e) {
     // Identical quantization + identical arithmetic: the trajectories match
-    // to double-rounding noise.
-    EXPECT_NEAR(rres.epochs[e].loss, mres.epochs[e].loss, 1e-9) << e;
+    // exactly.
+    EXPECT_EQ(rres.epochs[e].loss, mres.epochs[e].loss) << e;
   }
-  // And the simulated epoch time agrees between modes.
-  EXPECT_NEAR(mres.TotalSimSeconds(), rres.TotalSimSeconds(),
-              0.25 * rres.TotalSimSeconds());
+  // And the simulated time is the same: both modes charge one price.
+  EXPECT_EQ(mres.TotalSimSeconds(), rres.TotalSimSeconds());
 }
 
 TEST(HomoLrTest, EnginesAgreeOnValuesDifferOnTime) {

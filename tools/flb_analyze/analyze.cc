@@ -104,7 +104,8 @@ std::string DirectHazard(const CallSite& c) {
     return "clock";
   }
   const std::string low = Lower(c.callee);
-  if (low.find("callback") != std::string::npos || ChainHas(c.chain, "callback")) {
+  if (low.find("callback") != std::string::npos ||
+      ChainHas(c.chain, "callback")) {
     return "callback";
   }
   return "";
@@ -128,8 +129,9 @@ class Analyzer {
         fns_.push_back(&fn);
         fn_file_.push_back(fi);
         const size_t sep = fn.qual_name.rfind("::");
-        const std::string name =
-            sep == std::string::npos ? fn.qual_name : fn.qual_name.substr(sep + 2);
+        const std::string name = sep == std::string::npos
+                                     ? fn.qual_name
+                                     : fn.qual_name.substr(sep + 2);
         by_name_[name].push_back(fns_.size() - 1);
       }
       for (const std::string& name : facts_[fi].unordered_decls) {

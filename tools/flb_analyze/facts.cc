@@ -294,7 +294,9 @@ class FnExtractor {
           i >= 2 &&
           (t_[i - 1].text == "." || t_[i - 1].text == "->") &&
           IsIdent(t_, i - 2) && LooksLikeMutexName(t_[i - 2].text)) {
-        if (!InLambda(i)) Acquire(QualifyLock(t_[i - 2].text), t_[i].line, depth);
+        if (!InLambda(i)) {
+          Acquire(QualifyLock(t_[i - 2].text), t_[i].line, depth);
+        }
         continue;
       }
       if ((x == "unlock" || x == "Unlock") && Is(t_, i + 1, "(") &&
